@@ -61,8 +61,7 @@ from .generator import (
     RunConfig,
     RunResult,
     generate_request,
-    run_concurrent,
-    run_sequential,
+    run,
 )
 from .trace_recreate import (
     NotReproducible,
@@ -74,7 +73,6 @@ from .trace_recreate import (
     estimate_run_length,
     minimize,
     read_trace,
-    record,
     replay,
 )
 
@@ -94,9 +92,9 @@ __all__ = [
     "check_status", "check_syntactic",
     "HttpExchangeResult", "InProcessTarget", "NetworkTarget", "execute",
     "EndpointUnreachable", "RequestPlan", "RunConfig", "RunResult",
-    "generate_request", "run_concurrent", "run_sequential",
+    "generate_request", "run",
     "NotReproducible", "RecreateScript", "SymbolResolutionFailure",
     "TraceEvent", "TraceSink", "bind_symbols", "estimate_run_length",
-    "minimize", "read_trace", "record", "replay",
+    "minimize", "read_trace", "replay",
     "__version__",
 ]

@@ -26,8 +26,7 @@ from .generator import (
     EndpointUnreachable,
     ProgressEvent,
     RunConfig,
-    run_concurrent,
-    run_sequential,
+    run,
     trace_header,
 )
 from .http_driver import NetworkTarget
@@ -149,7 +148,7 @@ def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig]:
     if args.stop_on_error is not None:
         file_config["stop_on_error"] = args.stop_on_error
     if args.exclude:
-        file_config["path_excludes"] = tuple(args.exclude)
+        file_config["path_excludes"] = args.exclude
     return RunConfig.from_dict(file_config), weights, mixture
 
 
@@ -195,10 +194,9 @@ def cmd_fuzz(args) -> int:
                   f"({event.error_findings} errors), "
                   f"in flight: {event.in_flight}", flush=True)
 
-    runner = run_concurrent if config.mode == "concurrent" else run_sequential
     try:
-        result = runner(config, model, sampling_spec, target=target,
-                        trace_sink=sink, progress=progress)
+        result = run(config, model, sampling_spec, target=target,
+                     trace_sink=sink, progress=progress)
     except EndpointUnreachable as exc:
         sink.close()
         print(f"error: endpoint unreachable: {exc}", file=sys.stderr)

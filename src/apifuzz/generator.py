@@ -3,16 +3,17 @@
 Requests are generated one after another as an unbounded stream; the loop
 stops when the wall-clock budget expires (verdict ``passed``), when the first
 error-grade finding appears under ``stop_on_error`` (verdict ``failed``), or
-when an optional request cap is hit (stop reason ``operator-stop``).  The
-first few selections are biased toward creating prerequisite resources in
-dependency order so the state store populates quickly; after that, selection
-is purely weight-driven.
+on a request cap or Ctrl-C (stop reason ``operator-stop``).  The first few
+selections create prerequisite resources in dependency order so the state
+store populates quickly; after that, selection is purely weight-driven.
 
-Sequential mode keeps at most one request in flight and is deterministic for
-a fixed seed against a deterministic SUT.  Concurrent mode keeps up to
-``max_in_flight`` exchanges open, samples and predicts against a consistent
-state snapshot taken at generation time, and applies effects in completion
-order.
+One loop, :func:`run`, serves both modes; its window is ``max_in_flight``.
+At window 1 (sequential mode) each request is sent from the loop's thread
+and completes before the next is generated, which makes a seeded run
+deterministic against a deterministic SUT.  A wider window keeps that many
+exchanges open on worker threads and applies effects in completion order.
+Workers only dispatch, so the loop's thread is the store's single reader and
+writer and reads it live, with no copy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import json
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 from urllib.parse import quote, urlencode
 
@@ -48,15 +49,11 @@ from .state_tracker import (
     DEFAULT_STORE_CAP,
     IdExtractionFailure,
     StateStore,
+    StatusPrediction,
     apply_effect,
     predict_status,
 )
-from .trace_recreate import (
-    SinkWriteError,
-    TraceSink,
-    make_trace_event,
-    record,
-)
+from .trace_recreate import SinkWriteError, TraceSink, make_trace_event
 from random import Random
 
 
@@ -107,9 +104,6 @@ class RequestPlan:
             "declared_status_patterns": list(self.declared_status_patterns),
         }
 
-    def wire_bytes(self) -> bytes:
-        return json.dumps(self.to_wire_dict(), sort_keys=True).encode("utf-8")
-
 
 @dataclass
 class RunConfig:
@@ -135,32 +129,20 @@ class RunConfig:
             self.max_in_flight = 1
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        self.path_excludes = tuple(self.path_excludes)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown run-config keys: {sorted(unknown)}")
-        cleaned = dict(data)
-        if "path_excludes" in cleaned:
-            cleaned["path_excludes"] = tuple(cleaned["path_excludes"])
-        return cls(**cleaned)
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "max_in_flight": self.max_in_flight,
-            "duration_limit": self.duration_limit,
-            "stop_on_error": self.stop_on_error,
-            "master_seed": self.master_seed, "endpoint": self.endpoint,
-            "max_requests": self.max_requests,
-            "request_timeout": self.request_timeout,
-            "n_warmup": self.n_warmup,
-            "match_threshold": self.match_threshold,
-            "store_cap": self.store_cap,
-            "path_excludes": list(self.path_excludes),
-            "trace_body_limit": self.trace_body_limit,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "progress_interval"}
+        out["path_excludes"] = list(self.path_excludes)
+        return out
 
 
 @dataclass
@@ -327,15 +309,14 @@ def _warmup_bindings(model: SemanticModel) -> list[OperationBinding]:
 
 
 class _RunState:
-    def __init__(self, config: RunConfig, model: SemanticModel,
-                 sampling_spec: SamplingSpec, target, trace_sink, policy):
+    def __init__(self, config: RunConfig, model: SemanticModel, target,
+                 trace_sink, policy):
         if model.spec is None:
             raise ValueError("model has no attached spec; load it with one")
         self.config = config
         self.model = _filtered_model(model, config.path_excludes)
         if not self.model.bindings:
             raise ValueError("no operations left to fuzz after path excludes")
-        self.sampling_spec = sampling_spec
         self.policy = policy or DEFAULT_POLICY
         self.rng = Random(config.master_seed)
         self.store = StateStore(config.store_cap)
@@ -367,7 +348,7 @@ class _RunState:
             "error_findings": 0,
             "warning_findings": 0,
             "info_findings": 0,
-            "peak_in_flight": 0,
+            "peak_in_flight": 1 if config.max_in_flight == 1 else 0,
             "id_extraction_failures": 0,
         }
         self.findings: list[Finding] = []
@@ -387,15 +368,41 @@ class _RunState:
                     and self.counters["warning_findings"] <= 200):
                 self.findings.append(f)
 
-    def apply(self, plan: RequestPlan, result) -> None:
+    def complete(self, plan: RequestPlan, prediction: StatusPrediction,
+                 dispatch_epoch: int, result) -> str | None:
+        """Count, check, apply and trace one finished exchange; returns the
+        stop reason it causes, if any.  Events are numbered in completion
+        order, which at window 1 is the plan order."""
+        counters = self.counters
+        counters["requests_sent"] += 1
+        event_id = counters["requests_sent"]
+        op_id = plan.binding.operation_id
+        per_op = counters["per_operation"]
+        per_op[op_id] = per_op.get(op_id, 0) + 1
+        findings = check_exchange(plan, result, self.ops_by_id[op_id],
+                                  prediction, self.policy,
+                                  exchange_ref=event_id)
+        self.note_findings(findings)
         try:
             apply_effect(plan, result, self.store, self.config.match_threshold)
         except IdExtractionFailure as exc:
-            self.counters["id_extraction_failures"] += 1
-            if self.counters["id_extraction_failures"] <= 20:
-                self.notes.append(
-                    f"id extraction failed for {plan.binding.operation_id} "
-                    f"(plan {plan.plan_id}): {exc}")
+            counters["id_extraction_failures"] += 1
+            if counters["id_extraction_failures"] <= 20:
+                self.notes.append(f"id extraction failed for {op_id} "
+                                  f"(plan {plan.plan_id}): {exc}")
+        event = make_trace_event(
+            event_id, plan.to_wire_dict(), result, findings, prediction,
+            dispatch_epoch=dispatch_epoch, completion_epoch=self.store.epoch,
+            body_limit=self.config.trace_body_limit)
+        try:
+            self.sink.append(event)
+        except SinkWriteError as exc:
+            self.notes.append(f"trace sink failed: {exc}")
+            return "operator-stop"
+        if self.config.stop_on_error and any(f.grade == GRADE_ERROR
+                                             for f in findings):
+            return "error-detected"
+        return None
 
     def emit_progress(self, progress: Callable | None, in_flight: int) -> None:
         if progress is None:
@@ -446,140 +453,64 @@ def _should_stop(state: _RunState, dispatched: int) -> str | None:
     return None
 
 
-# --- the two run modes ---------------------------------------------------------------
+# --- the run loop -------------------------------------------------------------------
 
-def run_sequential(config: RunConfig, model: SemanticModel,
-                   sampling_spec: SamplingSpec, target=None,
-                   trace_sink: TraceSink | None = None,
-                   policy: CheckPolicy | None = None,
-                   progress: Callable | None = None) -> RunResult:
-    """Strict generate -> dispatch -> check -> apply cycle, one in flight."""
-    state = _RunState(config, model, sampling_spec, target, trace_sink, policy)
-    state.counters["peak_in_flight"] = 1
-    stop_reason = None
-    try:
-        while True:
-            stop_reason = _should_stop(state, state.counters["requests_sent"])
-            if stop_reason:
-                break
-            plan_id = state.counters["requests_sent"] + 1
-            plan = generate_request(state.model, sampling_spec, state.store,
-                                    state.rng, plan_id=plan_id,
-                                    n_warmup=config.n_warmup,
-                                    warmup_bindings=state.warmup)
-            prediction = predict_status(plan, state.store, "sequential")
-            dispatch_epoch = state.store.epoch
-            result = execute(plan, state.target, config.request_timeout)
-            state.counters["requests_sent"] += 1
-            per_op = state.counters["per_operation"]
-            per_op[plan.binding.operation_id] = \
-                per_op.get(plan.binding.operation_id, 0) + 1
+def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
+        target=None, trace_sink: TraceSink | None = None,
+        policy: CheckPolicy | None = None,
+        progress: Callable | None = None) -> RunResult:
+    """Fuzz until a stop condition holds, ``config.max_in_flight`` at a time.
 
-            op = state.ops_by_id[plan.binding.operation_id]
-            findings = check_exchange(plan, result, op, prediction,
-                                      state.policy, exchange_ref=plan_id)
-            state.note_findings(findings)
-            state.apply(plan, result)
-            event = make_trace_event(
-                plan_id, plan.to_wire_dict(), result, findings, prediction,
-                dispatch_epoch=dispatch_epoch,
-                completion_epoch=state.store.epoch,
-                body_limit=config.trace_body_limit)
-            try:
-                record(event, state.sink)
-            except SinkWriteError as exc:
-                state.notes.append(f"trace sink failed: {exc}")
-                stop_reason = "operator-stop"
-                break
-            state.emit_progress(progress, in_flight=1)
-            if config.stop_on_error and any(f.grade == GRADE_ERROR
-                                            for f in findings):
-                stop_reason = "error-detected"
-                break
-    finally:
-        if stop_reason is None:
-            stop_reason = "operator-stop"
-    return state.finish(stop_reason)
-
-
-def run_concurrent(config: RunConfig, model: SemanticModel,
-                   sampling_spec: SamplingSpec, target=None,
-                   trace_sink: TraceSink | None = None,
-                   policy: CheckPolicy | None = None,
-                   progress: Callable | None = None) -> RunResult:
-    """Up to ``max_in_flight`` exchanges open; effects in completion order.
-
-    With ``max_in_flight == 1`` this degenerates to the sequential behavior,
-    including exact-state predictions.
+    At window 1 ``execute`` runs on this thread.  Ctrl-C stops the run as
+    ``operator-stop``; exchanges still in flight then go untraced.
     """
-    state = _RunState(config, model, sampling_spec, target, trace_sink, policy)
-    window = max(config.max_in_flight, 1)
+    state = _RunState(config, model, target, trace_sink, policy)
+    window = config.max_in_flight
     predict_mode = "concurrent" if window > 1 else "sequential"
     executor = ThreadPoolExecutor(max_workers=window,
-                                  thread_name_prefix="apifuzz-worker")
-    in_flight: dict[Any, tuple[RequestPlan, Any, int]] = {}
+                                  thread_name_prefix="apifuzz-worker") \
+        if window > 1 else None
+    in_flight: dict[Future, tuple[RequestPlan, StatusPrediction, int]] = {}
     dispatched = 0
-    event_counter = 0
     stop_reason: str | None = None
     try:
         while True:
             if stop_reason is None:
-                stop_reason_candidate = _should_stop(state, dispatched)
-                if stop_reason_candidate:
-                    stop_reason = stop_reason_candidate
-            while stop_reason is None and len(in_flight) < window:
+                stop_reason = _should_stop(state, dispatched)
+            if stop_reason is None and len(in_flight) < window:
                 dispatched += 1
-                snapshot = state.store.snapshot()
-                plan = generate_request(state.model, sampling_spec, snapshot,
+                plan = generate_request(state.model, sampling_spec, state.store,
                                         state.rng, plan_id=dispatched,
                                         n_warmup=config.n_warmup,
                                         warmup_bindings=state.warmup)
-                prediction = predict_status(plan, snapshot, predict_mode)
-                future = executor.submit(execute, plan, state.target,
-                                         config.request_timeout)
-                in_flight[future] = (plan, prediction, snapshot.epoch)
+                job = (plan, predict_status(plan, state.store, predict_mode),
+                       state.store.epoch)
+                if executor is None:
+                    stop_reason = state.complete(*job, execute(
+                        plan, state.target, config.request_timeout))
+                    state.emit_progress(progress, in_flight=1)
+                    continue
+                in_flight[executor.submit(execute, plan, state.target,
+                                          config.request_timeout)] = job
                 state.counters["peak_in_flight"] = max(
                     state.counters["peak_in_flight"], len(in_flight))
-                candidate = _should_stop(state, dispatched)
-                if candidate:
-                    stop_reason = candidate
-                    break
-            if not in_flight:
-                if stop_reason is not None:
-                    break
-                continue
+                if len(in_flight) < window:
+                    continue
+            elif not in_flight:
+                break
             done, _ = wait(set(in_flight), timeout=0.25,
                            return_when=FIRST_COMPLETED)
             for future in done:
-                plan, prediction, dispatch_epoch = in_flight.pop(future)
-                result = future.result()
-                state.counters["requests_sent"] += 1
-                per_op = state.counters["per_operation"]
-                per_op[plan.binding.operation_id] = \
-                    per_op.get(plan.binding.operation_id, 0) + 1
-                event_counter += 1
-                op = state.ops_by_id[plan.binding.operation_id]
-                findings = check_exchange(plan, result, op, prediction,
-                                          state.policy,
-                                          exchange_ref=event_counter)
-                state.note_findings(findings)
-                state.apply(plan, result)
-                event = make_trace_event(
-                    event_counter, plan.to_wire_dict(), result, findings,
-                    prediction, dispatch_epoch=dispatch_epoch,
-                    completion_epoch=state.store.epoch,
-                    body_limit=config.trace_body_limit)
-                try:
-                    record(event, state.sink)
-                except SinkWriteError as exc:
-                    state.notes.append(f"trace sink failed: {exc}")
-                    stop_reason = "operator-stop"
-                if config.stop_on_error and any(f.grade == GRADE_ERROR
-                                                for f in findings):
-                    stop_reason = "error-detected"
+                stop_reason = state.complete(*in_flight.pop(future),
+                                             future.result()) or stop_reason
             state.emit_progress(progress, in_flight=len(in_flight))
+    except KeyboardInterrupt:
+        stop_reason = "operator-stop"
     finally:
-        executor.shutdown(wait=True)
-        if stop_reason is None:
-            stop_reason = "operator-stop"
-    return state.finish(stop_reason)
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+    return state.finish(stop_reason or "operator-stop")
+
+
+# Both names are imported by the benchmark's workloads (perfbench/workloads.py).
+run_sequential = run_concurrent = run

@@ -491,11 +491,6 @@ def select_operation(model: SemanticModel, weights: WeightTable, rng: Random):
     return _icdf_pick(ops, u2)
 
 
-def worker_rng(master_seed: int, worker_index: int) -> Random:
-    """Independent stream for a generation worker: seeded with seed + index."""
-    return Random(master_seed + worker_index)
-
-
 # --- value sampling -----------------------------------------------------------------
 
 def _random_string(rng: Random, min_length: int | None,

@@ -93,9 +93,6 @@ class SemanticModel:
     def bindings_for_resource(self, name: str) -> list[OperationBinding]:
         return [b for b in self.bindings if b.resource == name]
 
-    def edges_from(self, dependent: str) -> list[DependencyEdge]:
-        return [e for e in self.edges if e.dependent == dependent]
-
     def operation_def(self, binding: OperationBinding) -> OperationDef:
         if self.spec is None:
             raise ValueError("model has no attached spec")

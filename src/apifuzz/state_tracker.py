@@ -1,10 +1,10 @@
 """Internal state: tracked resource instances and status prediction.
 
 The store records every resource instance the tool creates or discovers,
-with a monotone epoch per mutation.  Readers may be concurrent; mutations
-serialize behind a lock.  Predictions compare a planned request against the
-store (or an immutable snapshot of it, in concurrent mode) to produce the
-set of status classes a correct SUT could legitimately return.
+with a monotone epoch per mutation.  It has one writer, the run loop's
+thread, which also does all reads, so predictions read the live store; the
+lock only keeps each mutation whole.  A prediction is the set of status
+classes a correct SUT could legitimately return for a planned request.
 
 Prediction mirrors the conventional request-validation order of REST
 services (and of the bookshop fixture): path id syntax first, then object
@@ -53,27 +53,6 @@ class StateDelta:
 
     def add(self, action: str, resource: str, id_value: str) -> None:
         self.changes.append((action, resource, id_value))
-
-
-class StateSnapshot:
-    """Immutable view of the store at one epoch, for concurrent predictions."""
-
-    def __init__(self, lifecycles: dict[tuple[str, str], str],
-                 live_ids: dict[str, list[str]], epoch: int):
-        self._lifecycles = lifecycles
-        self._live_ids = live_ids
-        self.epoch = epoch
-
-    def lifecycle_of(self, resource: str, id_value: str) -> str | None:
-        return self._lifecycles.get((resource, id_value))
-
-    def query_ids(self, resource: str,
-                  lifecycles: Iterable[str] = (LIVE,)) -> list[str]:
-        wanted = set(lifecycles)
-        if wanted == {LIVE}:
-            return list(self._live_ids.get(resource, []))
-        return [idv for (res, idv), lc in self._lifecycles.items()
-                if res == resource and lc in wanted]
 
 
 class StateStore:
@@ -158,16 +137,6 @@ class StateStore:
                         break
         for key in victims:
             del self._instances[key]
-
-    def snapshot(self) -> StateSnapshot:
-        with self._lock:
-            lifecycles = {key: inst.lifecycle
-                          for key, inst in self._instances.items()}
-            live_ids: dict[str, list[str]] = {}
-            for inst in self._instances.values():
-                if inst.lifecycle == LIVE:
-                    live_ids.setdefault(inst.resource, []).append(inst.id_value)
-            return StateSnapshot(lifecycles, live_ids, self.epoch)
 
     def dump_snapshot(self) -> str:
         """JSON debug dump of the store, keyed by the current epoch."""
@@ -285,11 +254,8 @@ def _references_all_live(request, state) -> tuple[bool, str | None]:
 
 
 def predict_status(request, store, mode: str = "sequential") -> StatusPrediction:
-    """Predict the status classes a correct SUT may return for this plan.
-
-    ``store`` may be a :class:`StateStore` (sequential) or a
-    :class:`StateSnapshot` taken at generation time (concurrent).
-    """
+    """Predict the status classes a correct SUT may return for this plan,
+    from the store as it stands when the plan is dispatched."""
     concurrent = mode == "concurrent"
     binding = request.binding
     crud = binding.crud_kind
@@ -324,7 +290,7 @@ def predict_status(request, store, mode: str = "sequential") -> StatusPrediction
         if has_references and concurrent:
             return StatusPrediction(
                 frozenset({"2XX", "404"}), "stale-possible",
-                "prerequisites live at snapshot; an in-flight delete may race")
+                "prerequisites live at dispatch; an in-flight delete may race")
         return StatusPrediction(
             frozenset({"2XX"}), "exact-state",
             "all prerequisites live" if has_references else "no prerequisites")
@@ -346,7 +312,7 @@ def predict_status(request, store, mode: str = "sequential") -> StatusPrediction
             frozenset(expected), "stale-possible" if widen else "exact-state",
             f"parameter {invalid_other[0]!r} deliberately violates its schema")
     expected = {"2XX", "404"} if widen else {"2XX"}
-    rationale = ("target live at snapshot; an in-flight delete may race"
+    rationale = ("target live at dispatch; an in-flight delete may race"
                  if widen else
                  ("target and references live" if has_references
                   else "no state preconditions"))

@@ -191,11 +191,6 @@ class TraceSink:
             pass
 
 
-def record(event: TraceEvent, sink: TraceSink) -> None:
-    """Durably append one event; raises :class:`SinkWriteError` on failure."""
-    sink.append(event)
-
-
 def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
     """Load a trace file: (header, events)."""
     with open(path, "r", encoding="utf-8") as fh:

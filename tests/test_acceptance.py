@@ -18,7 +18,7 @@ from scipy import stats
 from apifuzz.bookshop import BookshopApp
 from apifuzz.bookshop.server import serve
 from apifuzz.cli import main as cli_main
-from apifuzz.generator import RunConfig, run_concurrent, run_sequential
+from apifuzz.generator import RunConfig, run
 from apifuzz.http_driver import InProcessTarget
 from apifuzz.sampling import WeightTable, build_sampling_spec, select_operation
 from apifuzz.semantic_model import infer_model
@@ -73,8 +73,8 @@ def test_criterion_1_seeded_bug_discovery(bookshop_ir, bookshop_model,
                                duration_limit=min(24.0, budget_left),
                                stop_on_error=True)
             target = InProcessTarget(BookshopApp(toggles=[bug]))
-            result = run_sequential(config, bookshop_model, bookshop_sampling,
-                                    target=target)
+            result = run(config, bookshop_model, bookshop_sampling,
+                         target=target)
             target.close()
             _drop(result)
             budget_left -= time.monotonic() - started
@@ -96,8 +96,7 @@ def test_criterion_1_seeded_bug_discovery(bookshop_ir, bookshop_model,
                            duration_limit=min(24.0, budget_left),
                            stop_on_error=True)
         target = InProcessTarget(BookshopApp(toggles=["inventory-lost-update"]))
-        result = run_concurrent(config, bookshop_model, race_sampling,
-                                target=target)
+        result = run(config, bookshop_model, race_sampling, target=target)
         target.close()
         _drop(result)
         budget_left -= time.monotonic() - started
@@ -117,8 +116,7 @@ def test_criterion_2_no_false_positives_five_minutes(bookshop_model,
     config = RunConfig(mode="sequential", master_seed=20240101,
                        duration_limit=300.0, stop_on_error=False)
     target = InProcessTarget(BookshopApp())
-    result = run_sequential(config, bookshop_model, bookshop_sampling,
-                            target=target)
+    result = run(config, bookshop_model, bookshop_sampling, target=target)
     target.close()
     detail = (f"{result.counters['requests_sent']} requests in "
               f"{result.counters['duration_seconds']:.0f}s, "
@@ -154,8 +152,7 @@ def minimized_bug_script(bookshop_ir, bookshop_model, bookshop_sampling,
         config = RunConfig(mode="sequential", master_seed=seed,
                            max_requests=400, stop_on_error=False)
         target = InProcessTarget(BookshopApp(toggles=[bug]))
-        result = run_sequential(config, bookshop_model, bookshop_sampling,
-                                target=target)
+        result = run(config, bookshop_model, bookshop_sampling, target=target)
         target.close()
         _, events = read_trace(result.trace_ref)
         _drop(result)
@@ -241,8 +238,7 @@ def test_criterion_6_determinism(bookshop_model, bookshop_sampling):
         config = RunConfig(mode="sequential", master_seed=424242,
                            max_requests=500, stop_on_error=False)
         target = InProcessTarget(BookshopApp())
-        result = run_sequential(config, bookshop_model, bookshop_sampling,
-                                target=target)
+        result = run(config, bookshop_model, bookshop_sampling, target=target)
         target.close()
         _, events = read_trace(result.trace_ref)
         _drop(result)

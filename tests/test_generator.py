@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -8,8 +9,7 @@ from apifuzz.generator import (
     EndpointUnreachable,
     RunConfig,
     generate_request,
-    run_concurrent,
-    run_sequential,
+    run,
 )
 from apifuzz.http_driver import InProcessTarget, NetworkTarget
 from apifuzz.sampling import (
@@ -39,9 +39,8 @@ def run_with(bug_toggles=(), seed=0, max_requests=None, duration=None,
                        master_seed=seed, max_requests=max_requests,
                        duration_limit=duration, stop_on_error=stop_on_error)
     target = InProcessTarget(BookshopApp(toggles=bug_toggles, **app_kwargs))
-    runner = run_concurrent if mode == "concurrent" else run_sequential
     try:
-        return runner(config, m, sampling, target=target)
+        return run(config, m, sampling, target=target)
     finally:
         target.close()
 
@@ -49,6 +48,27 @@ def run_with(bug_toggles=(), seed=0, max_requests=None, duration=None,
 def _drop_trace(result):
     if result.trace_ref and os.path.exists(result.trace_ref):
         os.unlink(result.trace_ref)
+
+
+# sha256 over every request the bookshop receives in a 2 000-request run,
+# seed 1, default weights and mixture (the benchmark's request format).
+SEED_1_STREAM_SHA256 = \
+    "c2636c1d2bd0b2912a83ed43dcac002d05079f6b66428d7892421fc1d74ee3a1"
+
+
+class DigestingApp(BookshopApp):
+    """Hashes each request it receives: request line, headers, body."""
+
+    def __init__(self):
+        super().__init__()
+        self.digest = hashlib.sha256()
+
+    def handle(self, method, path, query="", headers=None, body=b""):
+        self.digest.update(
+            f"{method} {path}?{query}\n".encode()
+            + json.dumps(headers or {}, sort_keys=True).encode()
+            + b"\n" + (body or b"") + b"\n")
+        return super().handle(method, path, query, headers, body)
 
 
 # --- request generation ----------------------------------------------------------
@@ -146,7 +166,7 @@ def test_target_id_param_points_at_own_resource(bookshop_model,
                 plan.reference_values[plan.target_id_param][0]
 
 
-# --- run_sequential ------------------------------------------------------------------
+# --- window 1 (sequential) -----------------------------------------------------------
 
 def test_zero_duration_budget_sends_nothing(bookshop_ir):
     result = run_with(bookshop_ir=bookshop_ir, duration=0.0)
@@ -222,8 +242,8 @@ def test_endpoint_unreachable_raises(bookshop_ir, bookshop_model,
                                      bookshop_sampling):
     config = RunConfig(master_seed=0, max_requests=1)
     with pytest.raises(EndpointUnreachable):
-        run_sequential(config, bookshop_model, bookshop_sampling,
-                       target=NetworkTarget("http://127.0.0.1:9"))
+        run(config, bookshop_model, bookshop_sampling,
+            target=NetworkTarget("http://127.0.0.1:9"))
 
 
 def test_sink_write_error_stops_run_as_operator_stop(bookshop_ir,
@@ -249,8 +269,8 @@ def test_sink_write_error_stops_run_as_operator_stop(bookshop_ir,
     sink = TraceSink(ExplodingFile(), str(tmp_path / "x.jsonl"), {})
     config = RunConfig(master_seed=0, max_requests=50)
     target = InProcessTarget(BookshopApp())
-    result = run_sequential(config, bookshop_model, bookshop_sampling,
-                            target=target, trace_sink=sink)
+    result = run(config, bookshop_model, bookshop_sampling,
+                 target=target, trace_sink=sink)
     target.close()
     assert result.stop_reason == "operator-stop"
     assert any("trace sink failed" in note for note in result.notes)
@@ -279,7 +299,7 @@ def test_stream_never_stalls_without_producers():
             return 404, {"Content-Type": "application/json"}, b'{"error": "x"}'
 
     config = RunConfig(master_seed=0, max_requests=80, stop_on_error=True)
-    result = run_sequential(config, model, sampling, target=AlwaysMissing())
+    result = run(config, model, sampling, target=AlwaysMissing())
     assert result.counters["requests_sent"] == 80
     assert result.verdict == "passed"
     _drop_trace(result)
@@ -290,7 +310,7 @@ def test_path_excludes_filter_operations(bookshop_ir, bookshop_model):
     config = RunConfig(master_seed=0, max_requests=120,
                        path_excludes=("/books", "/_admin"))
     target = InProcessTarget(BookshopApp())
-    result = run_sequential(config, bookshop_model, sampling, target=target)
+    result = run(config, bookshop_model, sampling, target=target)
     target.close()
     assert result.counters["requests_sent"] == 120
     assert not any(" /books" in op
@@ -298,7 +318,7 @@ def test_path_excludes_filter_operations(bookshop_ir, bookshop_model):
     _drop_trace(result)
 
 
-# --- run_concurrent -----------------------------------------------------------------
+# --- wider windows (concurrent) ------------------------------------------------------
 
 def test_concurrent_in_flight_bound_respected(bookshop_ir, bookshop_model,
                                               bookshop_sampling):
@@ -326,7 +346,7 @@ def test_concurrent_in_flight_bound_respected(bookshop_ir, bookshop_model,
                        max_requests=400)
     sampling = bookshop_sampling
     target = InProcessTarget(app)
-    result = run_concurrent(config, bookshop_model, sampling, target=target)
+    result = run(config, bookshop_model, sampling, target=target)
     target.close()
     assert app.peak <= 6
     assert result.counters["peak_in_flight"] <= 6
@@ -335,7 +355,8 @@ def test_concurrent_in_flight_bound_respected(bookshop_ir, bookshop_model,
     _drop_trace(result)
 
 
-def test_concurrent_window_one_equals_sequential(bookshop_ir):
+def test_concurrent_window_one_equals_sequential(bookshop_ir, bookshop_model,
+                                                 bookshop_sampling):
     seq = run_with(bookshop_ir=bookshop_ir, max_requests=150, seed=9)
     con = run_with(bookshop_ir=bookshop_ir, max_requests=150, seed=9,
                    mode="concurrent", max_in_flight=1)
@@ -347,6 +368,22 @@ def test_concurrent_window_one_equals_sequential(bookshop_ir):
         [json.dumps(e.plan, sort_keys=True) for e in con_events]
     assert [[f.to_dict() for f in e.findings] for e in seq_events] == \
         [[f.to_dict() for f in e.findings] for e in con_events]
+
+    # The request stream of a fixed seed is pinned, so a change to the loop
+    # that alters what is sent fails here even if both modes still agree.
+    for mode in ("sequential", "concurrent"):
+        app = DigestingApp()
+        config = RunConfig(mode=mode, max_in_flight=1, master_seed=1,
+                           max_requests=2000, stop_on_error=False)
+        target = InProcessTarget(app)
+        try:
+            result = run(config, bookshop_model, bookshop_sampling,
+                         target=target)
+        finally:
+            target.close()
+        _drop_trace(result)
+        assert result.counters["requests_sent"] == 2000
+        assert app.digest.hexdigest() == SEED_1_STREAM_SHA256, mode
 
 
 def test_concurrent_clean_run_no_error_findings(bookshop_ir):
@@ -370,8 +407,7 @@ def test_concurrent_race_bug_detected(bookshop_ir, bookshop_model):
                            master_seed=seed, duration_limit=24.0)
         target = InProcessTarget(
             BookshopApp(toggles=["inventory-lost-update"]))
-        result = run_concurrent(config, bookshop_model, sampling,
-                                target=target)
+        result = run(config, bookshop_model, sampling, target=target)
         target.close()
         _drop_trace(result)
         if result.verdict == "failed" and any(
@@ -381,14 +417,40 @@ def test_concurrent_race_bug_detected(bookshop_ir, bookshop_model):
     assert found, "race not detected within 5 seeds"
 
 
+def test_ctrl_c_stops_the_run_and_keeps_the_trace(bookshop_model,
+                                                  bookshop_sampling):
+    class InterruptedTarget(InProcessTarget):
+        calls = 0
+
+        def request(self, *args, **kwargs):
+            self.calls += 1
+            if self.calls == 1 + 5:  # the start-up probe, then 4 requests
+                raise KeyboardInterrupt
+            return super().request(*args, **kwargs)
+
+    config = RunConfig(master_seed=0, max_requests=50)
+    target = InterruptedTarget(BookshopApp())
+    try:
+        result = run(config, bookshop_model, bookshop_sampling, target=target)
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C escaped the run loop")
+    finally:
+        target.close()
+    _, events = read_trace(result.trace_ref)
+    _drop_trace(result)
+    assert result.stop_reason == "operator-stop"
+    assert result.counters["requests_sent"] == 4
+    assert [e.event_id for e in events] == [1, 2, 3, 4]
+
+
 def test_progress_events_are_emitted(bookshop_ir, bookshop_model,
                                      bookshop_sampling):
     seen = []
     config = RunConfig(master_seed=0, max_requests=4000,
                        progress_interval=0.05)
     target = InProcessTarget(BookshopApp())
-    result = run_sequential(config, bookshop_model, bookshop_sampling,
-                            target=target, progress=seen.append)
+    result = run(config, bookshop_model, bookshop_sampling,
+                 target=target, progress=seen.append)
     target.close()
     _drop_trace(result)
     assert seen, "no progress events over 4000 requests"

@@ -21,7 +21,6 @@ from apifuzz.sampling import (
     sample_value,
     select_operation,
     synthesize_from_pattern,
-    worker_rng,
 )
 from apifuzz.semantic_model import infer_model
 from apifuzz.spec_ingest import load_spec
@@ -314,8 +313,3 @@ def test_synthesized_strings_match_their_pattern(pattern):
 def test_unsupported_patterns_report_none(pattern):
     assert synthesize_from_pattern(pattern, Random(0)) is None
     assert not pattern_supported(pattern)
-
-
-def test_worker_rng_derivation_is_seed_plus_index():
-    assert worker_rng(5, 3).random() == Random(8).random()
-    assert worker_rng(5, 0).random() == Random(5).random()

@@ -91,17 +91,6 @@ def test_eviction_falls_back_to_oldest_live():
     assert store.lifecycle_of("c", "x4") == "live"
 
 
-def test_snapshot_is_immutable_view():
-    store = StateStore()
-    store.upsert_live("customer", "c1", {})
-    snap = store.snapshot()
-    store.mark_deleted("customer", "c1")
-    assert snap.lifecycle_of("customer", "c1") == "live"
-    assert snap.query_ids("customer", ("live",)) == ["c1"]
-    assert store.lifecycle_of("customer", "c1") == "deleted"
-    assert snap.epoch < store.epoch
-
-
 def test_dump_snapshot_is_json_keyed_by_epoch():
     store = StateStore()
     store.upsert_live("customer", "c1", {})
@@ -286,14 +275,14 @@ def test_concurrent_mode_widens_live_predictions_to_stale_possible():
     plan = make_plan("read", path_params={"customerId": "c1"},
                      tags={"customerId": "from-state"},
                      refs={"customerId": ("customer", ("c1",))})
-    pred = predict_status(plan, store.snapshot(), "concurrent")
+    pred = predict_status(plan, store, "concurrent")
     assert pred.expected_classes == frozenset({"2XX", "404"})
     assert pred.basis == "stale-possible"
 
 
 def test_concurrent_mode_keeps_state_free_predictions_exact():
     plan = make_plan("read-list", target=None)
-    pred = predict_status(plan, StateStore().snapshot(), "concurrent")
+    pred = predict_status(plan, StateStore(), "concurrent")
     assert pred.basis == "exact-state"
     assert pred.expected_classes == frozenset({"2XX"})
 

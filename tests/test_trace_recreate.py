@@ -5,7 +5,7 @@ import pytest
 
 from apifuzz.bookshop import BookshopApp
 from apifuzz.checker import Finding
-from apifuzz.generator import RunConfig, run_sequential
+from apifuzz.generator import RunConfig, run
 from apifuzz.http_driver import HttpExchangeResult, InProcessTarget
 from apifuzz.sampling import build_sampling_spec
 from apifuzz.trace_recreate import (
@@ -23,7 +23,6 @@ from apifuzz.trace_recreate import (
     minimize,
     producer_dependencies,
     read_trace,
-    record,
     replay,
     walk_json_path,
 )
@@ -69,7 +68,7 @@ def error_finding(kind="server-error-5xx", **kwargs):
 def test_record_single_event(tmp_path):
     path = str(tmp_path / "t.jsonl")
     sink = TraceSink.to_path(path, {"note": "test"})
-    record(event(1, plan_dict("GET /books", "GET", "/books")), sink)
+    sink.append(event(1, plan_dict("GET /books", "GET", "/books")))
     sink.close()
     lines = open(path).read().splitlines()
     assert len(lines) == 2  # header + one record
@@ -81,7 +80,7 @@ def test_record_thousand_events(tmp_path):
     path = str(tmp_path / "t.jsonl")
     sink = TraceSink.to_path(path, {})
     for i in range(1, 1001):
-        record(event(i, plan_dict("GET /books", "GET", "/books")), sink)
+        sink.append(event(i, plan_dict("GET /books", "GET", "/books")))
     sink.close()
     header, events = read_trace(path)
     assert len(events) == 1000
@@ -109,7 +108,7 @@ def test_trace_round_trip_preserves_events(tmp_path):
     original = event(1, plan_dict("GET /books", "GET", "/books"),
                      status=500, body={"error": "x"},
                      findings=[error_finding(exchange_ref=1, observed=500)])
-    record(original, sink)
+    sink.append(original)
     sink.close()
     _, events = read_trace(path)
     assert events == [original]
@@ -512,11 +511,11 @@ def test_minimize_end_to_end_on_seeded_bug(bookshop_ir, bookshop_model):
     sampling = build_sampling_spec(bookshop_ir, bookshop_model)
     config = RunConfig(master_seed=1, duration_limit=60.0, stop_on_error=True)
     target = InProcessTarget(BookshopApp(toggles=["delete-customer-500"]))
-    run = run_sequential(config, bookshop_model, sampling, target=target)
+    fuzzed = run(config, bookshop_model, sampling, target=target)
     target.close()
-    assert run.verdict == "failed"
-    _, events = read_trace(run.trace_ref)
-    os.unlink(run.trace_ref)
+    assert fuzzed.verdict == "failed"
+    _, events = read_trace(fuzzed.trace_ref)
+    os.unlink(fuzzed.trace_ref)
     failing = events[-1]
     assert any(f.kind == "server-error-5xx" for f in failing.findings)
 
@@ -549,7 +548,6 @@ def test_minimize_race_trace_in_concurrent_mode(bookshop_ir, bookshop_model):
     one reproduction in a handful of attempts as reproduced, so the
     minimization tolerates the probabilistic nature of the race.
     """
-    from apifuzz.generator import run_concurrent
     from apifuzz.sampling import WeightTable
 
     weights = WeightTable(per_operation={"POST /orders": 40.0,
@@ -565,11 +563,11 @@ def test_minimize_race_trace_in_concurrent_mode(bookshop_ir, bookshop_model):
                            stop_on_error=True)
         target = InProcessTarget(
             BookshopApp(toggles=["inventory-lost-update"]))
-        run = run_concurrent(config, bookshop_model, sampling, target=target)
+        fuzzed = run(config, bookshop_model, sampling, target=target)
         target.close()
-        _, events = read_trace(run.trace_ref)
-        os.unlink(run.trace_ref)
-        if run.verdict == "failed" and len(events) <= 400:
+        _, events = read_trace(fuzzed.trace_ref)
+        os.unlink(fuzzed.trace_ref)
+        if fuzzed.verdict == "failed" and len(events) <= 400:
             trace = events
             break
     assert trace is not None, "race did not fire within 7 seeds"
