@@ -24,7 +24,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
-from urllib.parse import quote, urlencode
 
 from .checker import (
     GRADE_ERROR,
@@ -34,7 +33,14 @@ from .checker import (
     Finding,
     check_exchange,
 )
-from .http_driver import DEFAULT_TIMEOUT, NetworkTarget, execute, probe
+from .http_driver import (
+    DEFAULT_TIMEOUT,
+    NetworkTarget,
+    execute,
+    probe,
+    render_url,
+    wire_str,
+)
 from .naming import DEFAULT_MATCH_THRESHOLD
 from .sampling import (
     KIND_REFERENCE,
@@ -177,14 +183,6 @@ class RunResult:
 
 # --- request generation --------------------------------------------------------
 
-def _wire_str(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    return str(value)
-
-
 def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
                      store, rng: Random, plan_id: int = 1,
                      n_warmup: int = 0,
@@ -231,7 +229,7 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
         elif param.location == "query":
             query_values[param.name] = sampled.value
         elif param.location == "header":
-            header_values[param.name] = _wire_str(sampled.value)
+            header_values[param.name] = wire_str(sampled.value)
         else:
             body_fields[param.name] = sampled.value
 
@@ -245,15 +243,6 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
             violated["__body__"] = sampled.violated
         body = sampled.value
 
-    url = op.path_template
-    for name, value in path_values.items():
-        url = url.replace("{" + name + "}", quote(_wire_str(value), safe=""))
-    if query_values:
-        encoded = {k: ([_wire_str(x) for x in v] if isinstance(v, list)
-                       else _wire_str(v))
-                   for k, v in query_values.items()}
-        url += "?" + urlencode(encoded, doseq=True)
-
     resource_id_fields: tuple[str, ...] = ()
     try:
         resource_id_fields = model.resource(binding.resource).id_field_names
@@ -264,13 +253,13 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
         binding=binding,
         method=op.method,
         path_template=op.path_template,
-        concrete_url=url,
+        concrete_url=render_url(op.path_template, path_values, query_values),
         headers=header_values,
         body=body,
         value_tags=tags,
         violated=violated,
         plan_id=plan_id,
-        path_param_values={k: _wire_str(v) for k, v in path_values.items()},
+        path_param_values={k: wire_str(v) for k, v in path_values.items()},
         query_values=query_values,
         reference_values=references,
         target_id_param=target_id_param,

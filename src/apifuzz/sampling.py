@@ -231,6 +231,9 @@ class WeightTable:
     per_method: dict[str, float] = field(default_factory=dict)
     per_operation: dict[str, float] = field(default_factory=dict)
     per_resource: dict[str, float] = field(default_factory=dict)
+    # select_operation's walk for the last model and weight values it saw
+    _selection: _SelectionTable | None = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def validate(self) -> None:
         for table in (self.per_method, self.per_operation, self.per_resource):
@@ -454,9 +457,7 @@ def build_sampling_spec(spec: ApiSpecIR, model: SemanticModel,
 
 # --- selection --------------------------------------------------------------------
 
-def _icdf_pick(pairs: list[tuple[Any, float]], u: float) -> Any:
-    total = sum(w for _, w in pairs)
-    threshold = u * total
+def _pick_below(pairs: list[tuple[Any, float]], threshold: float) -> Any:
     acc = 0.0
     for item, w in pairs:
         acc += w
@@ -465,30 +466,66 @@ def _icdf_pick(pairs: list[tuple[Any, float]], u: float) -> Any:
     return pairs[-1][0]
 
 
+def _icdf_pick(pairs: list[tuple[Any, float]], u: float) -> Any:
+    return _pick_below(pairs, u * sum(w for _, w in pairs))
+
+
+@dataclass(eq=False)
+class _SelectionTable:
+    """The sorted walk of :func:`select_operation` for one model and one set
+    of weight values: ``entries`` pairs ``(resource, ops, ops_total)`` with
+    the resource weight, ``ops`` pairs each binding with its weight."""
+    model: SemanticModel
+    per_method: dict[str, float]
+    per_operation: dict[str, float]
+    per_resource: dict[str, float]
+    entries: list[tuple[tuple[str, list[tuple[Any, float]], float], float]]
+    total: float
+
+    def fits(self, model: SemanticModel, weights: WeightTable) -> bool:
+        return (self.model is model
+                and self.per_resource == weights.per_resource
+                and self.per_operation == weights.per_operation
+                and self.per_method == weights.per_method)
+
+    @classmethod
+    def build(cls, model: SemanticModel, weights: WeightTable) -> "_SelectionTable":
+        entries = []
+        for resource in sorted(model.resources, key=lambda r: r.name):
+            rweight = weights.resource_weight(resource.name)
+            if rweight <= 0:
+                continue
+            ops = [(b, weights.operation_weight(b.operation_id,
+                                                b.operation_id.split(" ")[0]))
+                   for b in sorted(model.bindings_for_resource(resource.name),
+                                   key=lambda b: b.operation_id)]
+            ops = [(b, w) for b, w in ops if w > 0]
+            if ops:
+                entries.append(((resource.name, ops, sum(w for _, w in ops)),
+                                rweight))
+        return cls(model, dict(weights.per_method), dict(weights.per_operation),
+                   dict(weights.per_resource), entries,
+                   sum(w for _, w in entries))
+
+
 def select_operation(model: SemanticModel, weights: WeightTable, rng: Random):
     """Two-stage weighted draw: resource by resource weight, then operation.
 
     Exactly two uniforms are consumed per call regardless of the outcome, and
     resources/operations are walked in sorted order, so raising one weight
-    never perturbs the draws of unrelated calls with the same seed.
+    never perturbs the draws of unrelated calls with the same seed.  The
+    sorted walk is built once per model and set of weight values, and built
+    again on the first call after a weight changes.
     """
-    entries: list[tuple[Any, float]] = []
-    for resource in sorted(model.resources, key=lambda r: r.name):
-        rweight = weights.resource_weight(resource.name)
-        if rweight <= 0:
-            continue
-        ops = [(b, weights.operation_weight(b.operation_id, b.operation_id.split(" ")[0]))
-               for b in sorted(model.bindings_for_resource(resource.name),
-                               key=lambda b: b.operation_id)]
-        ops = [(b, w) for b, w in ops if w > 0]
-        if ops:
-            entries.append(((resource.name, ops), rweight))
+    table = weights._selection
+    if table is None or not table.fits(model, weights):
+        table = weights._selection = _SelectionTable.build(model, weights)
     u1, u2 = rng.random(), rng.random()
-    if not entries:
+    if not table.entries:
         raise NoSelectableOperation(
             "no resource has a positively weighted operation")
-    _, ops = _icdf_pick(entries, u1)
-    return _icdf_pick(ops, u2)
+    _, ops, ops_total = _pick_below(table.entries, u1 * table.total)
+    return _pick_below(ops, u2 * ops_total)
 
 
 # --- value sampling -----------------------------------------------------------------

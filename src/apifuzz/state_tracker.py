@@ -60,12 +60,15 @@ class StateStore:
 
     When the cap is exceeded the oldest deleted instances are evicted first,
     then the oldest remaining ones, so long unbounded runs stay in memory.
+    Live ids are also indexed per resource, in insertion order, so the
+    from-state draw's ``query_ids(resource, (LIVE,))`` does not scan.
     """
 
     def __init__(self, cap: int = DEFAULT_STORE_CAP):
         self.cap = cap
         self.epoch = 0
         self._instances: dict[tuple[str, str], ResourceInstance] = {}
+        self._live: dict[str, dict[str, None]] = {}
         self._lock = threading.Lock()
         self.resurrections_skipped = 0
 
@@ -81,6 +84,8 @@ class StateStore:
 
     def query_ids(self, resource: str,
                   lifecycles: Iterable[str] = (LIVE,)) -> list[str]:
+        if lifecycles == (LIVE,):
+            return list(self._live.get(resource, ()))
         wanted = set(lifecycles)
         return [inst.id_value for inst in self._instances.values()
                 if inst.resource == resource and inst.lifecycle in wanted]
@@ -100,6 +105,7 @@ class StateStore:
             else:
                 self._instances[key] = ResourceInstance(
                     resource, id_value, LIVE, representation, created_by)
+                self._live.setdefault(resource, {})[id_value] = None
                 self._evict_locked()
             self.epoch += 1
             return True
@@ -117,6 +123,7 @@ class StateStore:
                 return False
             else:
                 existing.lifecycle = DELETED
+                del self._live[resource][id_value]
             self.epoch += 1
             return True
 
@@ -136,7 +143,8 @@ class StateStore:
                     if remaining == 0:
                         break
         for key in victims:
-            del self._instances[key]
+            if self._instances.pop(key).lifecycle == LIVE:
+                del self._live[key[0]][key[1]]
 
     def dump_snapshot(self) -> str:
         """JSON debug dump of the store, keyed by the current epoch."""

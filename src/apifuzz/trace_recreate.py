@@ -21,13 +21,13 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
-from urllib.parse import quote, urlencode
 
 from .checker import Finding, validate_value
-from .http_driver import DEFAULT_TIMEOUT, execute
+from .http_driver import DEFAULT_TIMEOUT, execute, render_url
 from .naming import DEFAULT_MATCH_THRESHOLD, match_names, tokenize
 from .semantic_model import SemanticModel
 from .spec_ingest import (
@@ -192,7 +192,12 @@ class TraceSink:
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
-    """Load a trace file: (header, events)."""
+    """Load a trace file: (header, events).
+
+    A last line without its newline that does not parse was torn by an
+    interrupted write; it is skipped with a warning.  A malformed line
+    anywhere else raises :class:`ValueError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -201,8 +206,20 @@ def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
         if header.get("trace_version") != TRACE_VERSION:
             raise ValueError(
                 f"unsupported trace_version {header.get('trace_version')!r}")
-        events = [TraceEvent.from_dict(json.loads(line))
-                  for line in fh if line.strip()]
+        events = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if line.endswith("\n"):
+                    raise ValueError(
+                        f"trace file {path} line {lineno}: {exc}") from exc
+                warnings.warn(f"trace file {path}: skipped torn last line "
+                              f"{lineno}", stacklevel=2)
+                break
+            events.append(TraceEvent.from_dict(record))
     return header, events
 
 
@@ -555,13 +572,7 @@ def _build_replay_plan(step: dict, symbols: dict[str, Any]) -> _ReplayPlan:
     path_params = _resolve(step.get("path_params", {}), symbols)
     query = _resolve(step.get("query", {}), symbols)
     body = _resolve(step.get("body"), symbols)
-    url = step["path_template"]
-    for name, value in path_params.items():
-        url = url.replace("{" + name + "}", quote(str(value), safe=""))
-    if query:
-        encoded = {k: ([str(x) for x in v] if isinstance(v, list) else str(v))
-                   for k, v in query.items()}
-        url += "?" + urlencode(encoded, doseq=True)
+    url = render_url(step["path_template"], path_params, query)
     return _ReplayPlan(step["method"], url, dict(step.get("headers", {})), body)
 
 
@@ -654,16 +665,31 @@ def replay(script: RecreateScript, target,
     """Execute a recreate script and judge whether the failure reproduced.
 
     Raises :class:`SymbolResolutionFailure` when a producer response does not
-    yield a bound symbol (the CLI maps this to exit code 2).
+    yield a bound symbol (the CLI maps this to exit code 2).  In concurrent
+    mode what a producer returns depends on how the window overlapped, so
+    such an attempt only counts as not reproducing, and the failure is
+    raised when no attempt resolved every symbol.
     """
     attempts = attempts if attempts is not None else script.attempts
-    runner = _replay_once_concurrent if script.mode == "concurrent" \
-        else _replay_once_sequential
+    concurrent = script.mode == "concurrent"
+    runner = _replay_once_concurrent if concurrent else _replay_once_sequential
+    unresolved: SymbolResolutionFailure | None = None
+    resolved = False
     for attempt in range(1, max(attempts, 1) + 1):
-        if runner(script, target, timeout):
+        try:
+            reproduced = runner(script, target, timeout)
+        except SymbolResolutionFailure as exc:
+            if not concurrent:
+                raise
+            unresolved = exc
+            continue
+        if reproduced:
             return ReplayOutcome("reproduced",
                                  f"reproduced on attempt {attempt}/{attempts}",
                                  attempts_used=attempt)
+        resolved = True
+    if unresolved is not None and not resolved:
+        raise unresolved
     return ReplayOutcome("not-reproduced",
                          f"no reproduction in {attempts} attempt(s)",
                          attempts_used=max(attempts, 1))

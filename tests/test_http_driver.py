@@ -1,4 +1,10 @@
+import gc
+import sys
+import threading
+import time
+
 import pytest
+import requests
 
 from apifuzz.bookshop import BookshopApp
 from apifuzz.bookshop.server import serve
@@ -114,3 +120,126 @@ def test_non_json_content_not_parsed(target):
     assert result.status == 204
     assert result.body == b""
     assert result.json_body is None
+
+
+# --- the in-process dispatch worker ---------------------------------------------
+
+class _ScriptedApp:
+    """Answers ``GET /stall`` after a sleep, raises on ``GET /boom`` and
+    echoes the path of anything else."""
+
+    def handle(self, method, path, query, headers, body):
+        if path == "/stall":
+            time.sleep(0.5)
+        if path == "/boom":
+            raise RuntimeError("handler blew up")
+        return 200, {}, path.encode()
+
+
+def _worker_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("inproc-")}
+
+
+def _wait_until_gone(threads, seconds: float = 1.0) -> set[threading.Thread]:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        threads = {t for t in threads if t.is_alive()}
+        if not threads:
+            break
+        time.sleep(0.01)
+    return {t for t in threads if t.is_alive()}
+
+
+def test_request_after_a_timeout_gets_its_own_answer():
+    target = InProcessTarget(_ScriptedApp())
+    with pytest.raises(requests.Timeout):
+        target.request("GET", "/stall", {}, None, timeout=0.05)
+    started = time.perf_counter()
+    assert target.request("GET", "/next", {}, None, timeout=5) \
+        == (200, {}, b"/next")
+    assert time.perf_counter() - started < 0.1
+    target.close()
+
+
+def test_handler_exception_is_raised_in_the_caller():
+    target = InProcessTarget(_ScriptedApp())
+    with pytest.raises(RuntimeError, match="handler blew up"):
+        target.request("GET", "/boom", {}, None, timeout=5)
+    assert target.request("GET", "/ok", {}, None, timeout=5)[2] == b"/ok"
+    target.close()
+
+
+def test_close_ends_the_workers_of_every_calling_thread():
+    before = _worker_threads()
+    target = InProcessTarget(_ScriptedApp())
+    answered, release = threading.Barrier(3, timeout=5), threading.Event()
+
+    def caller():
+        target.request("GET", "/x", {}, None, 5)
+        answered.wait()
+        release.wait(timeout=5)  # outlive close(), which must end the worker
+
+    callers = [threading.Thread(target=caller, name=f"caller-{i}")
+               for i in range(2)]
+    for thread in callers:
+        thread.start()
+    answered.wait()
+    started = _worker_threads() - before
+    assert {t.name for t in started} == {"inproc-caller-0", "inproc-caller-1"}
+    target.close()
+    try:
+        assert not _wait_until_gone(started), "workers outlived close()"
+    finally:
+        release.set()
+        for thread in callers:
+            thread.join(timeout=5)
+
+
+def test_a_worker_ends_with_its_calling_thread():
+    before = _worker_threads()
+    target = InProcessTarget(_ScriptedApp())
+    caller = threading.Thread(target=target.request,
+                              args=("GET", "/x", {}, None, 5))
+    caller.start()
+    caller.join(timeout=5)
+    assert not caller.is_alive()
+    assert not _wait_until_gone(_worker_threads() - before), \
+        "worker outlived its caller"
+    target.close()
+
+
+def test_replies_never_cross_between_calling_threads():
+    target = InProcessTarget(_ScriptedApp())
+    crossed = []
+
+    def caller(n):
+        for i in range(150):
+            path = f"/{n}/{i}"
+            if target.request("GET", path, {}, None, 5)[2] != path.encode():
+                crossed.append(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(n,))
+                   for n in range(8)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        target.close()
+    assert not any(thread.is_alive() for thread in callers)
+    assert crossed == []
+
+
+def test_dropped_target_leaves_no_worker():
+    before = _worker_threads()
+    target = InProcessTarget(_ScriptedApp())
+    target.request("GET", "/x", {}, None, timeout=5)
+    started = _worker_threads() - before
+    assert len(started) == 1
+    del target
+    gc.collect()
+    assert not _wait_until_gone(started), "worker outlived its target"

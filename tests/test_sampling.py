@@ -2,6 +2,7 @@ import re
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from apifuzz.checker import validate_value
@@ -193,6 +194,86 @@ def test_selection_deterministic_for_seed(bookshop_model):
 
     assert draw(11) == draw(11)
     assert draw(11) != draw(12)
+
+
+def _reference_icdf_pick(pairs, u):
+    total = sum(w for _, w in pairs)
+    threshold = u * total
+    acc = 0.0
+    for item, w in pairs:
+        acc += w
+        if threshold < acc:
+            return item
+    return pairs[-1][0]
+
+
+def _reference_select_operation(model, weights, rng):
+    """Reference for select_operation with nothing kept between calls:
+    every call sorts and sums the whole walk again."""
+    entries = []
+    for resource in sorted(model.resources, key=lambda r: r.name):
+        rweight = weights.resource_weight(resource.name)
+        if rweight <= 0:
+            continue
+        ops = [(b, weights.operation_weight(b.operation_id, b.operation_id.split(" ")[0]))
+               for b in sorted(model.bindings_for_resource(resource.name),
+                               key=lambda b: b.operation_id)]
+        ops = [(b, w) for b, w in ops if w > 0]
+        if ops:
+            entries.append(((resource.name, ops), rweight))
+    u1, u2 = rng.random(), rng.random()
+    if not entries:
+        raise NoSelectableOperation(
+            "no resource has a positively weighted operation")
+    _, ops = _reference_icdf_pick(entries, u1)
+    return _reference_icdf_pick(ops, u2)
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0),
+                    st.sampled_from([1e-300, 1e-12, 1.0, 3.0]))
+_BOOKSHOP_RESOURCES = ("author", "book", "customer", "order")
+_BOOKSHOP_OPERATIONS = ("GET /books", "POST /books", "GET /books/{bookId}",
+                        "DELETE /customers/{customerId}", "POST /orders",
+                        "GET /authors")
+
+
+@settings(max_examples=150, deadline=None)
+@given(per_method=st.dictionaries(
+           st.sampled_from(("GET", "POST", "PUT", "DELETE")), _WEIGHT),
+       per_operation=st.dictionaries(st.sampled_from(_BOOKSHOP_OPERATIONS),
+                                     _WEIGHT),
+       per_resource=st.dictionaries(st.sampled_from(_BOOKSHOP_RESOURCES),
+                                    _WEIGHT),
+       seed=st.integers(0, 2**32 - 1))
+def test_selection_matches_the_per_call_walk(bookshop_model, per_method,
+                                             per_operation, per_resource, seed):
+    weights = WeightTable(per_method=per_method, per_operation=per_operation,
+                          per_resource=per_resource)
+    fast, slow = Random(seed), Random(seed)
+    for _ in range(8):
+        try:
+            expected = _reference_select_operation(bookshop_model, weights, slow)
+        except NoSelectableOperation:
+            with pytest.raises(NoSelectableOperation):
+                select_operation(bookshop_model, weights, fast)
+        else:
+            assert select_operation(bookshop_model, weights, fast) is expected
+        assert fast.getstate() == slow.getstate()
+
+
+def test_changed_weight_applies_to_the_next_draw(bookshop_model):
+    weights = WeightTable()
+    rng = Random(8)
+    first = {select_operation(bookshop_model, weights, rng).resource
+             for _ in range(200)}
+    assert first == set(_BOOKSHOP_RESOURCES)
+    for name in ("author", "book", "order"):
+        weights.per_resource[name] = 0.0
+    assert {select_operation(bookshop_model, weights, rng).resource
+            for _ in range(200)} == {"customer"}
+    weights.per_resource["book"] = 1.0
+    assert {select_operation(bookshop_model, weights, rng).resource
+            for _ in range(200)} == {"book", "customer"}
 
 
 # --- value sampling -----------------------------------------------------------------

@@ -91,6 +91,32 @@ def test_eviction_falls_back_to_oldest_live():
     assert store.lifecycle_of("c", "x4") == "live"
 
 
+def _scanned_live_ids(store, resource):
+    """Reference answer: a full scan of the store in insertion order."""
+    return [inst["id"] for inst in json.loads(store.dump_snapshot())["instances"]
+            if inst["resource"] == resource and inst["lifecycle"] == "live"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_live_id_index_matches_a_full_scan(seed):
+    rng = Random(seed)
+    store = StateStore(cap=6)
+    resources = ("book", "customer")
+    untracked = iter(range(10**6))
+    for _ in range(600):
+        resource = rng.choice(resources)
+        action = rng.random()
+        if action < 0.5:  # new id, or a re-upsert of a tracked one
+            store.upsert_live(resource, f"i{rng.randrange(12)}", {})
+        elif action < 0.85:
+            store.mark_deleted(resource, f"i{rng.randrange(12)}")
+        else:
+            store.mark_deleted(resource, f"untracked{next(untracked)}")
+        assert len(store) <= 6
+        for name in resources:
+            assert query_ids(store, name) == _scanned_live_ids(store, name)
+
+
 def test_dump_snapshot_is_json_keyed_by_epoch():
     store = StateStore()
     store.upsert_live("customer", "c1", {})

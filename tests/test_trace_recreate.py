@@ -1,13 +1,18 @@
 import json
 import os
+from random import Random
 
 import pytest
 
+from apifuzz import generator
 from apifuzz.bookshop import BookshopApp
 from apifuzz.checker import Finding
-from apifuzz.generator import RunConfig, run
+from apifuzz.generator import RunConfig, generate_request, run
 from apifuzz.http_driver import HttpExchangeResult, InProcessTarget
-from apifuzz.sampling import build_sampling_spec
+from apifuzz.sampling import TAG_VALID, SampledValue, build_sampling_spec
+from apifuzz.semantic_model import infer_model
+from apifuzz.spec_ingest import load_spec
+from apifuzz.state_tracker import StateStore
 from apifuzz.trace_recreate import (
     NotReproducible,
     RecreateScript,
@@ -26,6 +31,8 @@ from apifuzz.trace_recreate import (
     replay,
     walk_json_path,
 )
+
+from conftest import json_response, minimal_spec_doc
 
 
 # --- helpers ----------------------------------------------------------------------
@@ -112,6 +119,35 @@ def test_trace_round_trip_preserves_events(tmp_path):
     sink.close()
     _, events = read_trace(path)
     assert events == [original]
+
+
+def _trace_with_two_events(path):
+    sink = TraceSink.to_path(path, {})
+    for eid in (1, 2):
+        sink.append(event(eid, plan_dict("GET /books", "GET", "/books")))
+    sink.close()
+
+
+def test_read_trace_skips_a_torn_last_line(tmp_path):
+    path = str(tmp_path / "t.jsonl")
+    _trace_with_two_events(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"event_id": 3, "plan": {"meth')  # write cut short
+    with pytest.warns(UserWarning, match=r"t\.jsonl: skipped torn last line 4"):
+        _, events = read_trace(path)
+    assert [e.event_id for e in events] == [1, 2]
+
+
+def test_read_trace_rejects_a_malformed_inner_line(tmp_path):
+    path = str(tmp_path / "t.jsonl")
+    _trace_with_two_events(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines.insert(2, '{"event_id": 9, "pl\n')
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    with pytest.raises(ValueError, match="line 3"):
+        read_trace(path)
 
 
 def test_oversized_bodies_are_truncated():
@@ -290,6 +326,51 @@ def test_replay_reproduces_on_fresh_fixture_with_random_ids(bookshop_model):
     assert outcome.exit_code == 0
 
 
+def test_replay_sends_the_url_the_fuzz_run_sent(monkeypatch):
+    """Booleans, null and list query values render the same on replay as
+    in the generator: ``true``/``false``, the empty string, repeated keys."""
+    def query(name, schema):
+        return {"name": name, "in": "query", "schema": schema}
+
+    ir = load_spec(minimal_spec_doc({"/things/{thingId}": {"get": {
+        "parameters": [
+            {"name": "thingId", "in": "path", "required": True,
+             "schema": {"type": "string"}},
+            query("flag", {"type": "boolean"}),
+            query("off", {"type": "boolean"}),
+            query("note", {"type": "string", "nullable": True}),
+            query("tags", {"type": "array", "items": {"type": "string"}}),
+        ],
+        "responses": {"200": json_response({"type": "object"})}}}}))
+    model = infer_model(ir)
+    values = {"thingId": "a b", "flag": True, "off": False, "note": None,
+              "tags": ["x", True, None]}
+    op = model.operation_def(model.bindings[0])
+    drawn = iter([values[p.name] for p in op.parameters])
+    monkeypatch.setattr(generator, "sample_value",
+                        lambda domain, store, rng: SampledValue(next(drawn),
+                                                                TAG_VALID))
+    plan = generate_request(model, build_sampling_spec(ir, model),
+                            StateStore(), Random(0))
+    assert plan.concrete_url == ("/things/a%20b?flag=true&off=false&note="
+                                 "&tags=x&tags=true&tags=")
+
+    class Recorder:
+        def __init__(self):
+            self.urls = []
+
+        def request(self, method, url_path, headers, body, timeout):
+            self.urls.append(url_path)
+            return 200, {}, b""
+
+    ok = HttpExchangeResult(status=200)
+    trace = [make_trace_event(1, plan.to_wire_dict(), ok, [])]
+    script = bind_symbols(trace, model, expected_failure={"status_class": "5XX"})
+    recorder = Recorder()
+    replay(script, recorder)
+    assert recorder.urls == [plan.concrete_url]
+
+
 def test_replay_deterministic_ten_of_ten_for_non_race_bug(bookshop_model):
     script = _two_step_script(bookshop_model)
     reproduced = 0
@@ -332,6 +413,51 @@ def test_replay_symbol_resolution_failure_when_producer_fails(bookshop_model):
     with pytest.raises(SymbolResolutionFailure):
         replay(script, target)
     target.close()
+
+
+class _FlakyListBookshop:
+    """``GET /books`` lists nothing on the first call, as when a concurrent
+    create has not landed yet, and the book afterwards; ``GET /books/b1``
+    answers 500."""
+
+    def __init__(self):
+        self.lists = 0
+
+    def request(self, method, url_path, headers, body, timeout):
+        json_headers = {"Content-Type": "application/json"}
+        if url_path == "/books":
+            self.lists += 1
+            books = [] if self.lists == 1 else [{"bookId": "b1"}]
+            return 200, json_headers, json.dumps(books).encode()
+        return 500, json_headers, b'{"error": "x"}'
+
+
+def _list_then_read_events():
+    return [
+        event(1, plan_dict("GET /books", "GET", "/books", resource="book",
+                           crud="read-list"),
+              status=200, body=[{"bookId": "b1"}]),
+        event(2, plan_dict("GET /books/{bookId}", "GET", "/books/{bookId}",
+                           path_params={"bookId": "b1"}, resource="book"),
+              status=500, body={"error": "x"}, findings=[error_finding()]),
+    ]
+
+
+def test_concurrent_replay_retries_an_attempt_whose_symbol_did_not_resolve(
+        bookshop_model):
+    script = bind_symbols(_list_then_read_events(), bookshop_model,
+                          mode="concurrent", max_in_flight=2, attempts=3)
+    assert script.bindings, "the read was not bound to the list's book"
+    outcome = replay(script, _FlakyListBookshop())
+    assert outcome.outcome == "reproduced"
+    assert outcome.attempts_used == 2
+
+
+def test_concurrent_replay_raises_when_no_attempt_resolves(bookshop_model):
+    script = bind_symbols(_list_then_read_events(), bookshop_model,
+                          mode="concurrent", max_in_flight=2, attempts=1)
+    with pytest.raises(SymbolResolutionFailure):
+        replay(script, _FlakyListBookshop())
 
 
 def test_concurrent_replay_reproduces_race(bookshop_model):
