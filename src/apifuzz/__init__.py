@@ -44,7 +44,6 @@ from .state_tracker import (
     StatusPrediction,
     apply_effect,
     predict_status,
-    query_ids,
 )
 from .checker import (
     CheckPolicy,
@@ -87,7 +86,6 @@ __all__ = [
     "MixtureConfig", "SamplingSpec", "WeightTable", "build_sampling_spec",
     "sample_value", "select_operation",
     "StateStore", "StatusPrediction", "apply_effect", "predict_status",
-    "query_ids",
     "CheckPolicy", "Finding", "check_exchange", "check_semantic",
     "check_status", "check_syntactic",
     "HttpExchangeResult", "InProcessTarget", "NetworkTarget", "execute",

@@ -311,15 +311,20 @@ class BookshopApp:
             return err
         if parsed["customerId"] not in self.customers:
             return _error(404, f"no such customer: {parsed['customerId']}")
+        # The records found here are the ones the order uses: a concurrent
+        # DELETE may drop a book from ``self.books`` at any later point.
+        books = {}
         for book_id in parsed["bookIds"]:
-            if book_id not in self.books:
+            book = self.books.get(book_id)
+            if book is None:
                 return _error(404, f"no such book: {book_id}")
+            books[book_id] = book
 
         if self.bug_enabled(BUG_LOST_UPDATE):
             # Deliberately unlocked read-sleep-write: concurrent orders for
             # the same book read the same inventory and overwrite each other.
             for book_id in parsed["bookIds"]:
-                book = self.books[book_id]
+                book = books[book_id]
                 stale = book["inventory"]
                 if stale > 0:
                     time.sleep(self._race_window)
@@ -329,13 +334,12 @@ class BookshopApp:
         else:
             with self._lock:
                 for book_id in parsed["bookIds"]:
-                    book = self.books[book_id]
+                    book = books[book_id]
                     if book["inventory"] > 0:
                         book["inventory"] -= 1
                         book["_sold"] += 1
 
-        for book_id in dict.fromkeys(parsed["bookIds"]):
-            book = self.books[book_id]
+        for book_id, book in books.items():
             if book["inventory"] + book["_sold"] != book["_stocked"]:
                 return _error(500, f"inventory accounting corrupted for book "
                                    f"{book_id}: {book['inventory']} on hand + "

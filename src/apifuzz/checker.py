@@ -320,7 +320,3 @@ def check_exchange(plan, response, operation: OperationDef,
             for f in findings
         ]
     return findings
-
-
-def error_findings(findings) -> list[Finding]:
-    return [f for f in findings if f.grade == GRADE_ERROR]

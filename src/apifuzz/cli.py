@@ -29,7 +29,7 @@ from .generator import (
     run,
     trace_header,
 )
-from .http_driver import NetworkTarget
+from .http_driver import DEFAULT_TIMEOUT, NetworkTarget
 from .sampling import MixtureConfig, WeightTable, build_sampling_spec
 from .semantic_model import (
     DanglingReference,
@@ -262,9 +262,7 @@ def cmd_minimize(args) -> int:
         print(f"error: trace has no event {event_id}", file=sys.stderr)
         return 2
 
-    run_mode = (header.get("config") or {}).get("mode", "sequential")
     max_in_flight = (header.get("config") or {}).get("max_in_flight", 1)
-    script_mode = "concurrent" if run_mode == "concurrent" else "sequential"
 
     expected = expected_failure_for(by_id[event_id], spec)
     prefix = [e for e in events if e.event_id <= event_id]
@@ -276,10 +274,8 @@ def cmd_minimize(args) -> int:
                              verify=not args.insecure)
 
     oracle = build_replay_oracle(
-        model, expected, target_factory, mode=script_mode,
-        max_in_flight=max_in_flight,
-        attempts=args.replay_attempts or (20 if script_mode == "concurrent" else 1),
-        timeout=args.timeout or 30.0)
+        model, expected, target_factory, max_in_flight=max_in_flight,
+        attempts=args.replay_attempts, timeout=args.timeout)
 
     try:
         result = minimize(prefix, event_id, oracle, deps,
@@ -288,7 +284,7 @@ def cmd_minimize(args) -> int:
         print(f"not reproducible: {exc}", file=sys.stderr)
         return 3
 
-    script = bind_symbols(result.events, model, expected, mode=script_mode,
+    script = bind_symbols(result.events, model, expected,
                           max_in_flight=max_in_flight)
     with open(args.out, "wb") as fh:
         fh.write(script.to_json())
@@ -323,7 +319,7 @@ def cmd_replay(args) -> int:
     target = NetworkTarget(args.endpoint, _default_headers(),
                            verify=not args.insecure)
     try:
-        outcome = replay(script, target, timeout=args.timeout or 30.0,
+        outcome = replay(script, target, timeout=args.timeout,
                          attempts=args.attempts)
     except SymbolResolutionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -472,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max replay-oracle calls")
     p_min.add_argument("--replay-attempts", dest="replay_attempts", type=int,
                        default=None)
-    p_min.add_argument("--timeout", type=float, default=None)
+    p_min.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p_min)
     _add_network(p_min)
     p_min.set_defaults(func=cmd_minimize)
@@ -481,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--script", required=True)
     p_replay.add_argument("--endpoint", required=True)
     p_replay.add_argument("--attempts", type=int, default=None)
-    p_replay.add_argument("--timeout", type=float, default=None)
+    p_replay.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p_replay)
     _add_network(p_replay)
     p_replay.set_defaults(func=cmd_replay)

@@ -9,6 +9,7 @@ strip trailing id/ref marker tokens, singularize, then score token overlap.
 
 from __future__ import annotations
 
+import functools
 import re
 
 # Tokens that mark "this is a reference to X" rather than being part of X's
@@ -41,12 +42,14 @@ def singularize(token: str) -> str:
     return token
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize_tokens(name: str) -> tuple[str, ...]:
     """Canonical token form of a name: tokenized, id/ref suffixes stripped, singular.
 
     Stripping never produces an empty result; a name that is nothing but
     marker tokens (e.g. "id") keeps its tokens so it still compares equal
-    to itself.
+    to itself.  Memoized with a bound, because names also come from the
+    responses of the API under test.
     """
     tokens = tokenize(name)
     trimmed = list(tokens)

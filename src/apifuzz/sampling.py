@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
-from .naming import DEFAULT_MATCH_THRESHOLD, match_names
+from .naming import DEFAULT_MATCH_THRESHOLD
 from .semantic_model import SemanticModel
 from .spec_ingest import ANY_KIND, ApiSpecIR, ParameterDef, SchemaNode
 
@@ -340,21 +340,6 @@ def _normalize_mixture(raw: dict[str, float],
     return {tag: w / total for tag, w in weights.items() if w > 0}
 
 
-def _reference_target(param: ParameterDef, model: SemanticModel,
-                      threshold: float) -> str | None:
-    best_score, best_name = 0.0, None
-    for resource in sorted(model.resources, key=lambda r: r.name):
-        if not resource.id_field_names:
-            continue
-        score = max(match_names(param.name, idf)
-                    for idf in resource.id_field_names)
-        if score > best_score:
-            best_score, best_name = score, resource.name
-    if best_score >= threshold:
-        return best_name
-    return None
-
-
 def _domain_for_schema(schema: SchemaNode, mixture_raw: dict[str, float],
                        wire_string: bool, is_path: bool = False) -> ValueDomain:
     kind_map = {"integer": KIND_INT, "number": KIND_NUMBER, "boolean": KIND_BOOL}
@@ -402,7 +387,7 @@ def _domain_for_parameter(param: ParameterDef, model: SemanticModel,
                           threshold: float) -> ValueDomain:
     wire_string = param.location in ("path", "query", "header")
     is_path = param.location == "path"
-    target = _reference_target(param, model, threshold)
+    target = model.id_resource(param.name, threshold)
     if target is not None:
         schema = param.schema
         many = schema.kind == "array"

@@ -101,6 +101,21 @@ class SemanticModel:
     def edge_set(self) -> set[tuple[str, str]]:
         return {(e.dependent, e.prerequisite) for e in self.edges}
 
+    def id_resource(self, name: str, threshold: float) -> str | None:
+        """The resource whose id fields ``name`` matches best, if that score
+        reaches ``threshold``; the first by resource name on a tie."""
+        best_score, best_name = 0.0, None
+        for resource in sorted(self.resources, key=lambda r: r.name):
+            if not resource.id_field_names:
+                continue
+            score = max(match_names(name, idf)
+                        for idf in resource.id_field_names)
+            if score > best_score:
+                best_score, best_name = score, resource.name
+        if best_score >= threshold:
+            return best_name
+        return None
+
 
 # --- provenance keys ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .naming import DEFAULT_MATCH_THRESHOLD, match_names
@@ -43,16 +43,6 @@ class ResourceInstance:
     lifecycle: str = LIVE
     last_representation: Any = None
     created_by: int | None = None
-
-
-@dataclass
-class StateDelta:
-    """What one exchange did to the store; empty for failed requests."""
-    changes: list[tuple[str, str, str]] = field(default_factory=list)
-    epoch: int = 0
-
-    def add(self, action: str, resource: str, id_value: str) -> None:
-        self.changes.append((action, resource, id_value))
 
 
 class StateStore:
@@ -159,12 +149,6 @@ class StateStore:
         return json.dumps(snap, indent=2, sort_keys=True)
 
 
-def query_ids(store, resource: str,
-              lifecycle_filter: Iterable[str] = (LIVE,)) -> list[str]:
-    """All tracked ids of a resource matching the filter, in insertion order."""
-    return store.query_ids(resource, lifecycle_filter)
-
-
 # --- effect application ----------------------------------------------------------
 
 def extract_id(body: Any, id_fields: Iterable[str],
@@ -191,7 +175,7 @@ def extract_id(body: Any, id_fields: Iterable[str],
 
 
 def apply_effect(request, response, store: StateStore,
-                 threshold: float = DEFAULT_MATCH_THRESHOLD) -> StateDelta:
+                 threshold: float = DEFAULT_MATCH_THRESHOLD) -> None:
     """Fold one completed exchange into the store.
 
     Only successful (2XX) exchanges change lifecycles: creates insert, deletes
@@ -199,10 +183,9 @@ def apply_effect(request, response, store: StateStore,
     representation.  Raises :class:`IdExtractionFailure` when a create
     succeeded but its response carries no recognizable id.
     """
-    delta = StateDelta(epoch=store.epoch)
     status = response.status
     if response.transport_error or status is None or not 200 <= status < 300:
-        return delta
+        return
 
     binding = request.binding
     crud = binding.crud_kind
@@ -211,31 +194,22 @@ def apply_effect(request, response, store: StateStore,
 
     if crud == "create":
         id_value = extract_id(body, request.resource_id_fields, threshold)
-        if store.upsert_live(resource, id_value, body, created_by=request.plan_id):
-            delta.add("created", resource, id_value)
+        store.upsert_live(resource, id_value, body, created_by=request.plan_id)
     elif crud == "delete" and request.target_id_param:
         id_value = request.path_param_values.get(request.target_id_param)
-        if id_value is not None and store.mark_deleted(resource, str(id_value)):
-            delta.add("deleted", resource, str(id_value))
-    elif crud == "read" and request.target_id_param:
+        if id_value is not None:
+            store.mark_deleted(resource, str(id_value))
+    elif crud in ("read", "update") and request.target_id_param:
         id_value = request.path_param_values.get(request.target_id_param)
-        if id_value is not None and store.upsert_live(resource, str(id_value), body):
-            delta.add("observed", resource, str(id_value))
-    elif crud == "update" and request.target_id_param:
-        id_value = request.path_param_values.get(request.target_id_param)
-        if id_value is not None and store.upsert_live(resource, str(id_value), body):
-            delta.add("updated", resource, str(id_value))
+        if id_value is not None:
+            store.upsert_live(resource, str(id_value), body)
     elif crud == "read-list" and isinstance(body, list):
         for item in body:
             try:
                 id_value = extract_id(item, request.resource_id_fields, threshold)
             except IdExtractionFailure:
                 continue
-            if store.upsert_live(resource, id_value, item):
-                delta.add("observed", resource, id_value)
-
-    delta.epoch = store.epoch
-    return delta
+            store.upsert_live(resource, id_value, item)
 
 
 # --- status prediction -------------------------------------------------------------

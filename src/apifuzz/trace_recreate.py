@@ -8,6 +8,12 @@ assigns different ids), and the result is emitted as a script that either
 reproduces the original finding (exit 0 in the CLI), does not (exit 1), or
 cannot be evaluated (exit 2).
 
+A script's window (``max_in_flight``, taken from the run) is the one switch
+on the replay side.  At 1 the steps are sent one after another, once by
+default, and a symbol that does not resolve ends the replay.  Above 1 they are
+sent overlapped up to the window, :data:`DEFAULT_RACE_ATTEMPTS` times by
+default, and a symbol that does not resolve only fails that attempt.
+
 The minimizer treats symbolic producers and their consumers as atomic: when a
 candidate removal would orphan a consumer of a removed producer, the consumer
 is cascaded out as well instead of wasting an oracle call on a sequence that
@@ -17,6 +23,7 @@ can only fail to resolve.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +35,7 @@ from typing import Any, Callable, Sequence
 
 from .checker import Finding, validate_value
 from .http_driver import DEFAULT_TIMEOUT, execute, render_url
-from .naming import DEFAULT_MATCH_THRESHOLD, match_names, tokenize
+from .naming import DEFAULT_MATCH_THRESHOLD, tokenize
 from .semantic_model import SemanticModel
 from .spec_ingest import (
     ApiSpecIR,
@@ -159,7 +166,6 @@ class TraceSink:
     def __init__(self, fh, path: str | None, header: dict):
         self._fh = fh
         self.path = path
-        self.events_written = 0
         header = {"trace_version": TRACE_VERSION, **header}
         try:
             self._fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -182,7 +188,6 @@ class TraceSink:
         except (OSError, ValueError) as exc:
             raise SinkWriteError(f"cannot append event {event.event_id}: {exc}") \
                 from exc
-        self.events_written += 1
 
     def close(self) -> None:
         try:
@@ -252,28 +257,28 @@ def _is_marker(value: Any) -> bool:
     return isinstance(value, dict) and set(value) == {_SYM_KEY}
 
 
-def _iter_produced_ids(body: Any, id_key_resource: Callable[[str], str | None],
+def _iter_produced_ids(body: Any, is_id_key: Callable[[str], bool],
                        path: str = "$"):
     """Yield (json_path, key, value) for id-like scalar fields in a response."""
     if isinstance(body, dict):
         for key, value in body.items():
             sub = f"{path}.{key}"
             if isinstance(value, (str, int)) and not isinstance(value, bool):
-                if id_key_resource(key) is not None:
+                if is_id_key(key):
                     yield sub, key, value
             elif isinstance(value, list):
                 for i, item in enumerate(value):
                     if isinstance(item, (str, int)) and not isinstance(item, bool):
-                        if id_key_resource(key) is not None:
+                        if is_id_key(key):
                             yield f"{sub}[{i}]", key, item
                     else:
                         yield from _iter_produced_ids(
-                            item, id_key_resource, f"{sub}[{i}]")
+                            item, is_id_key, f"{sub}[{i}]")
             elif isinstance(value, dict):
-                yield from _iter_produced_ids(value, id_key_resource, sub)
+                yield from _iter_produced_ids(value, is_id_key, sub)
     elif isinstance(body, list):
         for i, item in enumerate(body):
-            yield from _iter_produced_ids(item, id_key_resource, f"{path}[{i}]")
+            yield from _iter_produced_ids(item, is_id_key, f"{path}[{i}]")
 
 
 class _ProducerRegistry:
@@ -307,20 +312,17 @@ class _ProducerRegistry:
         return event_id, json_path, key
 
 
-def _make_id_key_matcher(model: SemanticModel, binding_resource: str,
-                         threshold: float) -> Callable[[str], str | None]:
-    resources = sorted(model.resources, key=lambda r: r.name)
+def _id_key_predicate(model: SemanticModel,
+                      threshold: float) -> Callable[[str], bool]:
+    """Whether a response key holds an id: a bare ``id``, or a name that
+    matches some resource's id fields.  Memoized for the caller's lifetime,
+    so one ``bind_symbols`` call judges each distinct key once."""
+    @functools.cache
+    def is_id_key(key: str) -> bool:
+        return tokenize(key) == ["id"] \
+            or model.id_resource(key, threshold) is not None
 
-    def matcher(key: str) -> str | None:
-        if tokenize(key) == ["id"]:
-            return binding_resource
-        for resource in resources:
-            for idf in resource.id_field_names:
-                if match_names(key, idf) >= threshold:
-                    return resource.name
-        return None
-
-    return matcher
+    return is_id_key
 
 
 @dataclass
@@ -328,12 +330,11 @@ class RecreateScript:
     steps: list[dict]
     bindings: list[dict]
     expected_failure: dict
-    mode: str = "sequential"
     max_in_flight: int = 1
     attempts: int = 1
 
     def to_json(self) -> bytes:
-        doc = {"script_version": SCRIPT_VERSION, "mode": self.mode,
+        doc = {"script_version": SCRIPT_VERSION,
                "max_in_flight": self.max_in_flight, "attempts": self.attempts,
                "steps": self.steps, "bindings": self.bindings,
                "expected_failure": self.expected_failure}
@@ -349,7 +350,6 @@ class RecreateScript:
                 f"unsupported script_version {doc.get('script_version')!r}")
         script = cls(steps=doc["steps"], bindings=doc.get("bindings", []),
                      expected_failure=doc.get("expected_failure", {}),
-                     mode=doc.get("mode", "sequential"),
                      max_in_flight=doc.get("max_in_flight", 1),
                      attempts=doc.get("attempts", 1))
         script.validate()
@@ -403,7 +403,7 @@ def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,
 def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
                  expected_failure: dict | None = None,
                  threshold: float = DEFAULT_MATCH_THRESHOLD,
-                 mode: str = "sequential", max_in_flight: int = 1,
+                 max_in_flight: int = 1,
                  attempts: int | None = None) -> RecreateScript:
     """Lift cross-request id flows into symbols and emit a replayable script.
 
@@ -413,9 +413,12 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
     Remaining literals stay concrete.  Script steps follow dispatch order
     (plan ids), so concurrent windows replay the way they were issued.  When
     ``expected_failure`` is omitted it is derived from the last event's first
-    error-grade finding.
+    error-grade finding.  A window (``max_in_flight``) above 1 replays
+    concurrently, and then ``attempts`` defaults to
+    :data:`DEFAULT_RACE_ATTEMPTS`.
     """
     completion_order = sorted(trace, key=lambda e: e.event_id)
+    is_id_key = _id_key_predicate(model, threshold)
 
     # pass 1: collect every produced id with its completion epoch
     registry = _ProducerRegistry()
@@ -425,10 +428,8 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
                 or (isinstance(event.body_json, dict)
                     and event.body_json.get("__truncated__")):
             continue
-        matcher = _make_id_key_matcher(model, event.plan.get("resource", ""),
-                                       threshold)
         for json_path, key, value in _iter_produced_ids(event.body_json,
-                                                        matcher):
+                                                        is_id_key):
             registry.add(value, event.event_id, event.completion_epoch,
                          json_path, key)
 
@@ -475,9 +476,9 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
 
     script = RecreateScript(
         steps=steps, bindings=bindings, expected_failure=expected_failure,
-        mode=mode, max_in_flight=max_in_flight,
+        max_in_flight=max_in_flight,
         attempts=attempts if attempts is not None
-        else (DEFAULT_RACE_ATTEMPTS if mode == "concurrent" else 1))
+        else (DEFAULT_RACE_ATTEMPTS if max_in_flight > 1 else 1))
     script.validate()
     return script
 
@@ -665,13 +666,14 @@ def replay(script: RecreateScript, target,
     """Execute a recreate script and judge whether the failure reproduced.
 
     Raises :class:`SymbolResolutionFailure` when a producer response does not
-    yield a bound symbol (the CLI maps this to exit code 2).  In concurrent
-    mode what a producer returns depends on how the window overlapped, so
-    such an attempt only counts as not reproducing, and the failure is
-    raised when no attempt resolved every symbol.
+    yield a bound symbol (the CLI maps this to exit code 2).  With a window
+    above 1 the steps replay concurrently, and what a producer returns
+    depends on how the window overlapped, so such an attempt only counts as
+    not reproducing, and the failure is raised when no attempt resolved
+    every symbol.
     """
     attempts = attempts if attempts is not None else script.attempts
-    concurrent = script.mode == "concurrent"
+    concurrent = script.max_in_flight > 1
     runner = _replay_once_concurrent if concurrent else _replay_once_sequential
     unresolved: SymbolResolutionFailure | None = None
     resolved = False
@@ -703,7 +705,6 @@ class MinimizeResult:
     oracle_calls: int
     proven_minimal: bool
     reduced_from: int
-    initial_attempts_used: int = 1
 
 
 class _BudgetExhausted(Exception):
@@ -773,9 +774,7 @@ def minimize(trace: Sequence[TraceEvent], failing_event: int,
         calls += 1
         return oracle(candidate)
 
-    attempts_used = 0
-    for attempt in range(initial_attempts):
-        attempts_used = attempt + 1
+    for _ in range(initial_attempts):
         if test(prefix):
             break
     else:
@@ -826,14 +825,13 @@ def minimize(trace: Sequence[TraceEvent], failing_event: int,
         events=kept + [failing],
         oracle_calls=calls,
         proven_minimal=proven,
-        reduced_from=len(prefix),
-        initial_attempts_used=attempts_used)
+        reduced_from=len(prefix))
 
 
 def build_replay_oracle(model: SemanticModel, expected_failure: dict,
                         target_factory: Callable[[], Any],
-                        mode: str = "sequential", max_in_flight: int = 1,
-                        attempts: int = 1,
+                        max_in_flight: int = 1,
+                        attempts: int | None = None,
                         timeout: float = DEFAULT_TIMEOUT,
                         threshold: float = DEFAULT_MATCH_THRESHOLD
                         ) -> Callable[[Sequence[TraceEvent]], bool]:
@@ -845,7 +843,7 @@ def build_replay_oracle(model: SemanticModel, expected_failure: dict,
     """
     def oracle(events: Sequence[TraceEvent]) -> bool:
         script = bind_symbols(events, model, expected_failure=expected_failure,
-                              threshold=threshold, mode=mode,
+                              threshold=threshold,
                               max_in_flight=max_in_flight, attempts=attempts)
         target = target_factory()
         try:

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 
@@ -232,6 +233,31 @@ def test_lost_update_bug_loses_decrements():
             occurrences += 1
             break
     assert occurrences > 0
+
+
+def test_delete_of_the_book_during_an_order_gets_an_answer():
+    """A DELETE landing in the order's race window must not crash ``handle``."""
+    app = BookshopApp(toggles=["inventory-lost-update"], race_window=0.3)
+    book_id = seed_book(app)
+    call(app, "POST", "/customers", {"name": "B"})
+    outcome = {}
+
+    def order():
+        try:
+            outcome["status"] = call(app, "POST", "/orders",
+                                     {"customerId": "c1",
+                                      "bookIds": [book_id]})[0]
+        except Exception as exc:  # noqa: BLE001 - the failure under test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=order)
+    thread.start()
+    time.sleep(0.1)  # the order now sleeps in its race window
+    assert call(app, "DELETE", f"/books/{book_id}")[0] == 204
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert "error" not in outcome, repr(outcome.get("error"))
+    assert outcome["status"] in {201, 404}
 
 
 def test_lost_update_surfaces_as_500_consistency_error():

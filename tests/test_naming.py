@@ -83,3 +83,12 @@ def test_match_names_symmetric_and_bounded(a, b):
 @given(a=_IDENTIFIER)
 def test_match_names_reflexive(a):
     assert match_names(a, a) == 1.0
+
+
+def test_normalize_tokens_cache_is_bounded():
+    info = normalize_tokens.cache_info()
+    assert info.maxsize is not None
+    for i in range(info.maxsize + 10):
+        normalize_tokens(f"field{i}Id")
+    assert normalize_tokens.cache_info().currsize <= info.maxsize
+    assert normalize_tokens("bookIds") == ("book",)

@@ -1,8 +1,11 @@
 import json
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from apifuzz.naming import match_names
+from apifuzz.bookshop import bookshop_spec
+from apifuzz.naming import match_names, tokenize
 from apifuzz.semantic_model import (
     DanglingReference,
     ModelSchemaError,
@@ -14,6 +17,7 @@ from apifuzz.semantic_model import (
     topological_order,
 )
 from apifuzz.spec_ingest import load_spec
+from apifuzz.trace_recreate import _id_key_predicate
 
 from conftest import json_response, minimal_spec_doc
 
@@ -263,3 +267,123 @@ def test_merge_overrides_rejects_unknown_operation(bookshop_ir, bookshop_model):
         {"operation": "PATCH /nothing", "resource": "book", "crud_kind": "other"}]})
     with pytest.raises(DanglingReference):
         merge_overrides(bookshop_model, overrides, bookshop_ir)
+
+
+# --- id fields: one rule for sampling and replay ---------------------------------
+
+def _reference_target(name, model, threshold):
+    """Verbatim copy of the sampling rule that ``id_resource`` replaced."""
+    best_score, best_name = 0.0, None
+    for resource in sorted(model.resources, key=lambda r: r.name):
+        if not resource.id_field_names:
+            continue
+        score = max(match_names(name, idf)
+                    for idf in resource.id_field_names)
+        if score > best_score:
+            best_score, best_name = score, resource.name
+    if best_score >= threshold:
+        return best_name
+    return None
+
+
+def _make_id_key_matcher(model, binding_resource, threshold):
+    """Verbatim copy of the replay matcher that ``_id_key_predicate`` replaced."""
+    resources = sorted(model.resources, key=lambda r: r.name)
+
+    def matcher(key):
+        if tokenize(key) == ["id"]:
+            return binding_resource
+        for resource in resources:
+            for idf in resource.id_field_names:
+                if match_names(key, idf) >= threshold:
+                    return resource.name
+        return None
+
+    return matcher
+
+
+def _overlapping_ids_model():
+    """Resources whose id fields share tokens, so names tie and near-miss."""
+    def item(path_param, props):
+        return {"get": {
+            "parameters": [{"name": path_param, "in": "path", "required": True,
+                            "schema": {"type": "string"}}],
+            "responses": {"200": json_response({
+                "type": "object",
+                "properties": {p: {"type": "string"} for p in props}})}}}
+    ir = load_spec(minimal_spec_doc({
+        "/users/{userId}": item("userId", ["userId", "name", "groupRef"]),
+        "/user-groups/{userGroupId}": item(
+            "userGroupId", ["userGroupId", "ownerId", "user_group_ids"]),
+        "/groups/{groupId}": item("groupId", ["groupId", "id", "groupIds"]),
+        "/items": {"get": {
+            "parameters": [{"name": "ownerRef", "in": "query",
+                            "schema": {"type": "string"}}],
+            "responses": {"200": json_response({"type": "array", "items": {
+                "type": "object", "properties": {
+                    "itemId": {"type": "string"},
+                    "nested": {"type": "object", "properties": {
+                        "itemRef": {"type": "string"}}}}}})}}},
+    }))
+    return infer_model(ir)
+
+
+_ID_RULE_MODELS = (infer_model(bookshop_spec()), _overlapping_ids_model())
+
+
+def _schema_names(schema):
+    if schema is None:
+        return
+    for name, sub in schema.properties:
+        yield name
+        yield from _schema_names(sub)
+    yield from _schema_names(schema.items)
+
+
+def _spec_names(model):
+    names = set()
+    for op in model.spec.operations:
+        names.update(p.name for p in op.parameters)
+        names.update(_schema_names(op.request_body_schema))
+        for _, response in op.responses:
+            names.update(_schema_names(response.body_schema))
+    return sorted(names)
+
+
+_ID_THRESHOLDS = (0.5, 0.8, 1.0)
+
+
+def _assert_one_id_rule(model, names):
+    for threshold in _ID_THRESHOLDS:
+        is_id_key = _id_key_predicate(model, threshold)
+        matcher = _make_id_key_matcher(model, "binding", threshold)
+        for name in names:
+            assert model.id_resource(name, threshold) == \
+                _reference_target(name, model, threshold), (name, threshold)
+            assert is_id_key(name) == (matcher(name) is not None), \
+                (name, threshold)
+
+
+def test_id_rule_matches_both_old_copies_on_spec_names():
+    for model in _ID_RULE_MODELS:
+        assert len([r for r in model.resources if r.id_field_names]) >= 3
+        names = _spec_names(model)
+        assert names
+        _assert_one_id_rule(model, names)
+
+
+_ID_FRAGMENTS = ("id", "Id", "ID", "ids", "Ids", "ref", "Ref", "_", "-", "s",
+                 "book", "Book", "author", "customer", "order", "user",
+                 "User", "group", "Group", "item", "owner", "x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.lists(st.sampled_from(_ID_FRAGMENTS), min_size=1, max_size=4)
+    .map("".join)
+    | st.text(alphabet=string.ascii_letters + string.digits + "_-",
+              max_size=12),
+    min_size=1, max_size=8))
+def test_id_rule_matches_both_old_copies_on_any_identifier(names):
+    for model in _ID_RULE_MODELS:
+        _assert_one_id_rule(model, names)

@@ -14,6 +14,7 @@ from apifuzz.semantic_model import infer_model
 from apifuzz.spec_ingest import load_spec
 from apifuzz.state_tracker import StateStore
 from apifuzz.trace_recreate import (
+    DEFAULT_RACE_ATTEMPTS,
     NotReproducible,
     RecreateScript,
     SinkWriteError,
@@ -446,7 +447,7 @@ def _list_then_read_events():
 def test_concurrent_replay_retries_an_attempt_whose_symbol_did_not_resolve(
         bookshop_model):
     script = bind_symbols(_list_then_read_events(), bookshop_model,
-                          mode="concurrent", max_in_flight=2, attempts=3)
+                          max_in_flight=2, attempts=3)
     assert script.bindings, "the read was not bound to the list's book"
     outcome = replay(script, _FlakyListBookshop())
     assert outcome.outcome == "reproduced"
@@ -455,9 +456,58 @@ def test_concurrent_replay_retries_an_attempt_whose_symbol_did_not_resolve(
 
 def test_concurrent_replay_raises_when_no_attempt_resolves(bookshop_model):
     script = bind_symbols(_list_then_read_events(), bookshop_model,
-                          mode="concurrent", max_in_flight=2, attempts=1)
+                          max_in_flight=2, attempts=1)
     with pytest.raises(SymbolResolutionFailure):
         replay(script, _FlakyListBookshop())
+
+
+def test_the_window_sets_the_default_attempts(bookshop_model):
+    events = _list_then_read_events()
+    assert bind_symbols(events, bookshop_model).attempts == 1
+    assert bind_symbols(events, bookshop_model,
+                        max_in_flight=2).attempts == DEFAULT_RACE_ATTEMPTS
+
+
+def test_script_json_has_no_mode_key(bookshop_model):
+    script = bind_symbols(_list_then_read_events(), bookshop_model,
+                          max_in_flight=2)
+    doc = json.loads(script.to_json())
+    assert "mode" not in doc
+    assert doc["max_in_flight"] == 2
+    assert doc["script_version"] == 1
+
+
+def _older_script_document(script, mode):
+    """The same script as older writers emitted it, with a ``mode`` key."""
+    doc = json.loads(script.to_json())
+    doc["mode"] = mode
+    return json.dumps(doc)
+
+
+def test_older_concurrent_script_replays_at_its_window(bookshop_model):
+    script = bind_symbols(_list_then_read_events(), bookshop_model,
+                          max_in_flight=2, attempts=3)
+    loaded = RecreateScript.from_json(
+        _older_script_document(script, "concurrent"))
+    assert loaded.max_in_flight == 2 and loaded.attempts == 3
+    # concurrent replay: the unresolved first attempt only fails that attempt
+    outcome = replay(loaded, _FlakyListBookshop())
+    assert outcome.outcome == "reproduced"
+    assert outcome.attempts_used == 2
+
+
+def test_older_sequential_script_replays_at_its_window(bookshop_model):
+    script = bind_symbols(_list_then_read_events(), bookshop_model,
+                          attempts=3)
+    loaded = RecreateScript.from_json(
+        _older_script_document(script, "sequential"))
+    assert loaded.max_in_flight == 1 and loaded.attempts == 3
+    # sequential replay: the unresolved symbol ends the replay at once
+    target = _FlakyListBookshop()
+    with pytest.raises(SymbolResolutionFailure):
+        replay(loaded, target)
+    assert target.lists == 1
+    assert replay(loaded, target).outcome == "reproduced"
 
 
 def test_concurrent_replay_reproduces_race(bookshop_model):
@@ -465,7 +515,7 @@ def test_concurrent_replay_reproduces_race(bookshop_model):
     order_body = {"customerId": {"$sym": "$customer_id"},
                   "bookIds": [{"$sym": "$book_id"}]}
     script = RecreateScript(
-        mode="concurrent", max_in_flight=2, attempts=20,
+        max_in_flight=2, attempts=20,
         steps=[
             {"step": 0, "method": "POST", "path_template": "/authors",
              "path_params": {}, "query": {}, "headers": {},
@@ -707,14 +757,14 @@ def test_minimize_race_trace_in_concurrent_mode(bookshop_ir, bookshop_model):
         bookshop_model, expected,
         lambda: InProcessTarget(BookshopApp(toggles=["inventory-lost-update"],
                                             randomize_ids=True)),
-        mode="concurrent", max_in_flight=8, attempts=5)
+        max_in_flight=8, attempts=5)
     result = minimize(prefix, failing.event_id, oracle, deps,
                       max_oracle_calls=200)
     assert result.oracle_calls <= 200
     assert len(result.events) < len(prefix)
 
     script = bind_symbols(result.events, bookshop_model, expected,
-                          mode="concurrent", max_in_flight=8, attempts=20)
+                          max_in_flight=8, attempts=20)
     # steps must follow dispatch order (plan ids), not completion order
     plan_ids = [s["source_event"] for s in script.steps]
     dispatch = [e.plan["plan_id"] for e in sorted(result.events,
