@@ -40,9 +40,6 @@ KIND_5XX = "server-error-5xx"
 KIND_SEMANTIC = "semantic-mismatch"
 KIND_NO_RESPONSE = "no-response"
 
-FINDING_KINDS = (KIND_SCHEMA, KIND_UNDEFINED, KIND_5XX, KIND_SEMANTIC,
-                 KIND_NO_RESPONSE)
-
 _MAX_SCHEMA_FINDINGS = 50
 
 

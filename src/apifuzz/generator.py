@@ -489,7 +489,9 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
                 break
             done, _ = wait(set(in_flight), timeout=0.25,
                            return_when=FIRST_COMPLETED)
-            for future in done:
+            # Number a batch in dispatch order: of two exchanges that finish
+            # together, the one dispatched first gets the lower event id.
+            for future in sorted(done, key=lambda f: in_flight[f][0].plan_id):
                 stop_reason = state.complete(*in_flight.pop(future),
                                              future.result()) or stop_reason
             state.emit_progress(progress, in_flight=len(in_flight))

@@ -627,18 +627,18 @@ def _synthesize_reference_id(item_schema: SchemaNode, rng: Random) -> str:
 def sample_value(domain: ValueDomain, state, rng: Random) -> SampledValue:
     """Draw one value; the tag tells the checker which outcome class to expect.
 
-    ``state`` is any object exposing ``query_ids(resource, lifecycles)``; only
-    reference domains consult it.  A reference draw that lands on the
-    ``from-state`` component with no live instance available falls back to a
-    synthesized valid-random id (tagged valid-random), so generation never
-    stalls on an empty store.
+    ``state`` is any object whose ``query_ids(resource)`` lists the live ids
+    of a resource, oldest first (a ``StateStore``); only reference domains
+    consult it.  A reference draw that lands on the ``from-state`` component
+    with no live instance available falls back to a synthesized valid-random
+    id (tagged valid-random), so generation never stalls on an empty store.
     """
     tag = _icdf_pick(list(domain.mixture.items()), rng.random())
 
     if domain.kind == KIND_REFERENCE:
         item_schema = domain.item_schema or SchemaNode(kind="string")
         if tag == TAG_STATE:
-            ids = state.query_ids(domain.target_resource, ("live",)) if state is not None else []
+            ids = state.query_ids(domain.target_resource) if state is not None else []
             if ids:
                 if domain.many:
                     cap = domain.schema.max_items or DEFAULT_MAX_ARRAY

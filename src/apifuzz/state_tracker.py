@@ -1,10 +1,13 @@
-"""Internal state: tracked resource instances and status prediction.
+"""Internal state: the lifecycle of each resource id, and status prediction.
 
-The store records every resource instance the tool creates or discovers,
-with a monotone epoch per mutation.  It has one writer, the run loop's
-thread, which also does all reads, so predictions read the live store; the
-lock only keeps each mutation whole.  A prediction is the set of status
-classes a correct SUT could legitimately return for a planned request.
+The store answers one question per id: is it live, deleted or unknown.  It
+keeps no response bodies.  Each accepted ``upsert_live`` or ``mark_deleted``
+raises its epoch by one.  It has one writer, the run loop's thread, which
+also does all reads, so predictions read the live store; the lock only
+keeps each mutation whole.
+Past its cap the store evicts the id deleted longest ago, or the oldest id
+when none is deleted.  A prediction is the set of status classes a correct
+SUT could legitimately return for a planned request.
 
 Prediction mirrors the conventional request-validation order of REST
 services (and of the bookshop fixture): path id syntax first, then object
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -27,7 +31,6 @@ from .spec_ingest import status_pattern_matches
 
 LIVE = "live"
 DELETED = "deleted"
-UNKNOWN = "unknown"
 
 DEFAULT_STORE_CAP = 10_000
 
@@ -36,114 +39,83 @@ class IdExtractionFailure(Exception):
     """A create succeeded but no id field could be located in the response."""
 
 
-@dataclass
-class ResourceInstance:
-    resource: str
-    id_value: str
-    lifecycle: str = LIVE
-    last_representation: Any = None
-    created_by: int | None = None
-
-
 class StateStore:
-    """Insertion-ordered instance store with bounded size.
+    """The lifecycle of each ``(resource, id)``, in insertion order, bounded.
 
-    When the cap is exceeded the oldest deleted instances are evicted first,
-    then the oldest remaining ones, so long unbounded runs stay in memory.
     Live ids are also indexed per resource, in insertion order, so the
-    from-state draw's ``query_ids(resource, (LIVE,))`` does not scan.
+    from-state draw's ``query_ids(resource)`` does not scan.  Deleted keys
+    queue in deletion order.  When the cap is exceeded the store evicts the
+    key deleted longest ago, or the oldest key when none is deleted, so long
+    runs stay in memory without a scan.  A deleted id is never made live
+    again: a correct SUT does not hand it out twice.
     """
 
     def __init__(self, cap: int = DEFAULT_STORE_CAP):
         self.cap = cap
         self.epoch = 0
-        self._instances: dict[tuple[str, str], ResourceInstance] = {}
+        # OrderedDict and deque pop their oldest entry in O(1); a plain dict
+        # finds its first key by skipping every slot freed before it.
+        self._lifecycles: OrderedDict[tuple[str, str], str] = OrderedDict()
         self._live: dict[str, dict[str, None]] = {}
+        self._deleted: deque[tuple[str, str]] = deque()
         self._lock = threading.Lock()
-        self.resurrections_skipped = 0
 
     def __len__(self) -> int:
-        return len(self._instances)
-
-    def get(self, resource: str, id_value: str) -> ResourceInstance | None:
-        return self._instances.get((resource, id_value))
+        return len(self._lifecycles)
 
     def lifecycle_of(self, resource: str, id_value: str) -> str | None:
-        inst = self._instances.get((resource, id_value))
-        return inst.lifecycle if inst else None
+        return self._lifecycles.get((resource, id_value))
 
-    def query_ids(self, resource: str,
-                  lifecycles: Iterable[str] = (LIVE,)) -> list[str]:
-        if lifecycles == (LIVE,):
-            return list(self._live.get(resource, ()))
-        wanted = set(lifecycles)
-        return [inst.id_value for inst in self._instances.values()
-                if inst.resource == resource and inst.lifecycle in wanted]
+    def query_ids(self, resource: str) -> list[str]:
+        """The live ids of ``resource``, oldest first."""
+        return list(self._live.get(resource, ()))
 
-    def upsert_live(self, resource: str, id_value: str, representation: Any,
-                    created_by: int | None = None) -> bool:
-        """Record an instance as live; refuses to resurrect a deleted one."""
+    def upsert_live(self, resource: str, id_value: str) -> bool:
+        """Record an id as live; refuses to resurrect a deleted one."""
         with self._lock:
             key = (resource, id_value)
-            existing = self._instances.get(key)
-            if existing is not None:
-                if existing.lifecycle == DELETED:
-                    self.resurrections_skipped += 1
-                    return False
-                existing.lifecycle = LIVE
-                existing.last_representation = representation
-            else:
-                self._instances[key] = ResourceInstance(
-                    resource, id_value, LIVE, representation, created_by)
+            lifecycle = self._lifecycles.get(key)
+            if lifecycle == DELETED:
+                return False
+            if lifecycle is None:
+                self._lifecycles[key] = LIVE
                 self._live.setdefault(resource, {})[id_value] = None
                 self._evict_locked()
             self.epoch += 1
             return True
 
     def mark_deleted(self, resource: str, id_value: str) -> bool:
+        """Record an id as deleted, tracked or not (it is gone either way)."""
         with self._lock:
             key = (resource, id_value)
-            existing = self._instances.get(key)
-            if existing is None:
-                # deleting something we never tracked: remember it as gone
-                self._instances[key] = ResourceInstance(
-                    resource, id_value, DELETED, None, None)
-                self._evict_locked()
-            elif existing.lifecycle == DELETED:
+            lifecycle = self._lifecycles.get(key)
+            if lifecycle == DELETED:
                 return False
+            self._lifecycles[key] = DELETED
+            self._deleted.append(key)
+            if lifecycle is None:
+                self._evict_locked()
             else:
-                existing.lifecycle = DELETED
                 del self._live[resource][id_value]
             self.epoch += 1
             return True
 
     def _evict_locked(self) -> None:
-        if len(self._instances) <= self.cap:
-            return
-        excess = len(self._instances) - self.cap
-        victims = [k for k, inst in self._instances.items()
-                   if inst.lifecycle == DELETED][:excess]
-        if len(victims) < excess:
-            remaining = excess - len(victims)
-            skip = set(victims)
-            for key in self._instances:
-                if key not in skip:
-                    victims.append(key)
-                    remaining -= 1
-                    if remaining == 0:
-                        break
-        for key in victims:
-            if self._instances.pop(key).lifecycle == LIVE:
-                del self._live[key[0]][key[1]]
+        # Called after each new key, so at most one key is over the cap.
+        if len(self._lifecycles) > self.cap:
+            if self._deleted:
+                del self._lifecycles[self._deleted.popleft()]
+            else:
+                resource, id_value = self._lifecycles.popitem(last=False)[0]
+                del self._live[resource][id_value]
 
     def dump_snapshot(self) -> str:
         """JSON debug dump of the store, keyed by the current epoch."""
         snap = {
             "epoch": self.epoch,
             "instances": [
-                {"resource": inst.resource, "id": inst.id_value,
-                 "lifecycle": inst.lifecycle, "created_by": inst.created_by}
-                for inst in self._instances.values()
+                {"resource": resource, "id": id_value, "lifecycle": lifecycle}
+                for (resource, id_value), lifecycle in self._lifecycles.items()
             ],
         }
         return json.dumps(snap, indent=2, sort_keys=True)
@@ -179,8 +151,8 @@ def apply_effect(request, response, store: StateStore,
     """Fold one completed exchange into the store.
 
     Only successful (2XX) exchanges change lifecycles: creates insert, deletes
-    mark deleted, reads/lists upsert what they observed, updates refresh the
-    representation.  Raises :class:`IdExtractionFailure` when a create
+    mark deleted, reads, lists and updates record what they observed as
+    live.  Raises :class:`IdExtractionFailure` when a create
     succeeded but its response carries no recognizable id.
     """
     status = response.status
@@ -194,7 +166,7 @@ def apply_effect(request, response, store: StateStore,
 
     if crud == "create":
         id_value = extract_id(body, request.resource_id_fields, threshold)
-        store.upsert_live(resource, id_value, body, created_by=request.plan_id)
+        store.upsert_live(resource, id_value)
     elif crud == "delete" and request.target_id_param:
         id_value = request.path_param_values.get(request.target_id_param)
         if id_value is not None:
@@ -202,14 +174,14 @@ def apply_effect(request, response, store: StateStore,
     elif crud in ("read", "update") and request.target_id_param:
         id_value = request.path_param_values.get(request.target_id_param)
         if id_value is not None:
-            store.upsert_live(resource, str(id_value), body)
+            store.upsert_live(resource, str(id_value))
     elif crud == "read-list" and isinstance(body, list):
         for item in body:
             try:
                 id_value = extract_id(item, request.resource_id_fields, threshold)
             except IdExtractionFailure:
                 continue
-            store.upsert_live(resource, id_value, item)
+            store.upsert_live(resource, id_value)
 
 
 # --- status prediction -------------------------------------------------------------

@@ -483,6 +483,11 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
     return script
 
 
+def _last_segment(json_path: str) -> str:
+    """The field a JSON path ends in: ``$.items[0].price`` -> ``price``."""
+    return re.split(r"[.\[]", json_path.rstrip("]"))[-1]
+
+
 def expected_failure_for(event: TraceEvent, spec: ApiSpecIR | None) -> dict:
     """Self-contained predicate recognizing the event's finding on replay."""
     finding = next((f for f in event.findings if f.grade == "error"),
@@ -500,8 +505,7 @@ def expected_failure_for(event: TraceEvent, spec: ApiSpecIR | None) -> dict:
     elif finding.kind == "schema-violation":
         predicate["constraint"] = finding.constraint
         if finding.json_path:
-            segment = re.split(r"[.\[]", finding.json_path.rstrip("]"))[-1]
-            predicate["field"] = segment or None
+            predicate["field"] = _last_segment(finding.json_path) or None
         if spec is not None and event.status is not None:
             op = spec.operation(event.plan["operation"])
             for pattern, resp in op.responses:
@@ -610,10 +614,8 @@ def _predicate_matches(predicate: dict, result) -> bool:
                     and violation.constraint != predicate["constraint"]:
                 continue
             fld = predicate.get("field")
-            if fld:
-                segment = re.split(r"[.\[]", violation.json_path.rstrip("]"))[-1]
-                if segment != fld:
-                    continue
+            if fld and _last_segment(violation.json_path) != fld:
+                continue
             return True
         return False
     return False

@@ -1,0 +1,87 @@
+"""The benchmark under ``perfbench/`` reaches into the program by name.
+
+It imports functions and classes from ``apifuzz``, and it times each layer
+by wrapping names it looks up on ``generator``, ``StateStore`` and
+``trace_recreate``.  A wrap whose target is gone is skipped without a word,
+so a rename would turn that layer's metric into 0.  These tests read the
+benchmark's source and fail instead.
+"""
+
+import ast
+import importlib
+import pathlib
+from types import ModuleType
+
+from apifuzz import generator, trace_recreate
+from apifuzz.state_tracker import StateStore
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+IMPORTERS = ("workloads.py", "harness.py", "traced_bookshop.py", "run.py",
+             "tracing.py")
+
+# Wraps of the snapshot copy, which the program no longer has; ROADMAP
+# lists their removal as owed to the next change to perfbench.
+OWED_WRAPS = {("state_tracker.StateStore", "snapshot"),
+              ("snapshot_cls", "query_ids")}
+
+WRAP_OWNERS = {"generator": generator, "trace_recreate": trace_recreate,
+               "state_tracker.StateStore": StateStore}
+
+
+def _tree(filename: str) -> ast.Module:
+    return ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
+
+
+def _used_names(tree: ast.Module):
+    """(module, name) for each ``from apifuzz... import name`` and for each
+    attribute read on a module imported that way."""
+    modules: dict[str, ModuleType] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "apifuzz":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                yield module, alias.name
+                value = getattr(module, alias.name, None)
+                if isinstance(value, ModuleType):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            yield modules[node.value.id], node.attr
+
+
+def test_every_program_name_the_benchmark_imports_exists():
+    seen = set()
+    missing = []
+    for filename in IMPORTERS:
+        for module, name in _used_names(_tree(filename)):
+            seen.add(name)
+            if not hasattr(module, name):
+                missing.append(f"{filename}: {module.__name__}.{name}")
+    assert not missing
+    # the reader found the imports it is meant to check
+    assert {"run_sequential", "run_concurrent", "TraceSink", "minimize",
+            "producer_dependencies", "BookshopApp"} <= seen
+
+
+def _wraps():
+    """(owner source, name) for each entry of ``instrumented``'s patch list."""
+    func = next(node for node in ast.walk(_tree("tracing.py"))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "instrumented")
+    for node in ast.walk(func):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3 \
+                and isinstance(node.elts[1], ast.Constant) \
+                and isinstance(node.elts[1].value, str):
+            yield ast.unparse(node.elts[0]), node.elts[1].value
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    wraps = set(_wraps())
+    missing = [f"{owner}.{name}" for owner, name in sorted(wraps - OWED_WRAPS)
+               if name not in vars(WRAP_OWNERS[owner])]
+    assert not missing
+    assert {("state_tracker.StateStore", "query_ids"),
+            ("state_tracker.StateStore", "upsert_live"),
+            ("generator", "execute"), ("trace_recreate", "replay")} <= wraps

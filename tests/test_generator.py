@@ -21,7 +21,7 @@ from apifuzz.sampling import (
 )
 from apifuzz.semantic_model import infer_model
 from apifuzz.spec_ingest import load_spec
-from apifuzz.state_tracker import StateStore
+from apifuzz.state_tracker import DEFAULT_STORE_CAP, StateStore
 from apifuzz.trace_recreate import TraceSink, read_trace
 from random import Random
 
@@ -54,6 +54,9 @@ def _drop_trace(result):
 # seed 1, default weights and mixture (the benchmark's request format).
 SEED_1_STREAM_SHA256 = \
     "c2636c1d2bd0b2912a83ed43dcac002d05079f6b66428d7892421fc1d74ee3a1"
+# The same run with the store capped at 100 ids.
+SEED_1_CAP_100_STREAM_SHA256 = \
+    "00913a8bd36e89d6d58ef62d40669c417fe963481a1c43272dbc3b8ba40f7331"
 
 
 class DigestingApp(BookshopApp):
@@ -90,7 +93,7 @@ def test_concrete_urls_never_contain_placeholders(bookshop_model,
                                                   bookshop_sampling):
     rng = Random(1)
     store = StateStore()
-    store.upsert_live("book", "b1", {})
+    store.upsert_live("book", "b1")
     for _ in range(300):
         plan = generate_request(bookshop_model, bookshop_sampling, store, rng)
         assert "{" not in plan.concrete_url and "}" not in plan.concrete_url
@@ -105,9 +108,9 @@ def test_order_create_references_live_state(bookshop_ir, bookshop_model):
         MixtureConfig(valid_random=0, from_state=1, boundary=0,
                       invalid_typed=0))
     store = StateStore()
-    store.upsert_live("customer", "c1", {})
-    store.upsert_live("book", "b1", {})
-    store.upsert_live("book", "b2", {})
+    store.upsert_live("customer", "c1")
+    store.upsert_live("book", "b1")
+    store.upsert_live("book", "b2")
     rng = Random(5)
     for _ in range(25):
         plan = generate_request(bookshop_model, sampling, store, rng)
@@ -157,7 +160,7 @@ def test_target_id_param_points_at_own_resource(bookshop_model,
                                                 bookshop_sampling):
     rng = Random(2)
     store = StateStore()
-    store.upsert_live("book", "b1", {})
+    store.upsert_live("book", "b1")
     for _ in range(200):
         plan = generate_request(bookshop_model, bookshop_sampling, store, rng)
         if plan.binding.crud_kind in ("read", "update", "delete"):
@@ -371,19 +374,60 @@ def test_concurrent_window_one_equals_sequential(bookshop_ir, bookshop_model,
 
     # The request stream of a fixed seed is pinned, so a change to the loop
     # that alters what is sent fails here even if both modes still agree.
-    for mode in ("sequential", "concurrent"):
-        app = DigestingApp()
-        config = RunConfig(mode=mode, max_in_flight=1, master_seed=1,
-                           max_requests=2000, stop_on_error=False)
-        target = InProcessTarget(app)
-        try:
-            result = run(config, bookshop_model, bookshop_sampling,
-                         target=target)
-        finally:
-            target.close()
-        _drop_trace(result)
-        assert result.counters["requests_sent"] == 2000
-        assert app.digest.hexdigest() == SEED_1_STREAM_SHA256, mode
+    # At store cap 100 the store evicts for most of the run.
+    pins = ((DEFAULT_STORE_CAP, SEED_1_STREAM_SHA256),
+            (100, SEED_1_CAP_100_STREAM_SHA256))
+    for store_cap, pinned in pins:
+        for mode in ("sequential", "concurrent"):
+            app = DigestingApp()
+            config = RunConfig(mode=mode, max_in_flight=1, master_seed=1,
+                               max_requests=2000, stop_on_error=False,
+                               store_cap=store_cap)
+            target = InProcessTarget(app)
+            try:
+                result = run(config, bookshop_model, bookshop_sampling,
+                             target=target)
+            finally:
+                target.close()
+            _drop_trace(result)
+            assert result.counters["requests_sent"] == 2000
+            assert app.digest.hexdigest() == pinned, (store_cap, mode)
+
+
+def test_a_batch_that_finishes_together_is_traced_in_dispatch_order(
+        bookshop_model, bookshop_sampling, monkeypatch):
+    from concurrent.futures import ALL_COMPLETED
+
+    from apifuzz import generator
+
+    plan_of = {}  # id of an exchange result -> the plan it answered
+    real_execute, real_wait = generator.execute, generator.wait
+
+    def execute(plan, *args, **kwargs):
+        result = real_execute(plan, *args, **kwargs)
+        plan_of[id(result)] = plan.plan_id
+        return result
+
+    def wait(futures, timeout=None, return_when=ALL_COMPLETED):
+        done, _ = real_wait(futures, return_when=ALL_COMPLETED)
+        return sorted(done, key=lambda f: plan_of[id(f.result())],
+                      reverse=True), set()
+
+    monkeypatch.setattr(generator, "execute", execute)
+    monkeypatch.setattr(generator, "wait", wait)
+    config = RunConfig(mode="concurrent", max_in_flight=4, master_seed=1,
+                       max_requests=60, stop_on_error=False)
+    target = InProcessTarget(BookshopApp())
+    try:
+        result = run(config, bookshop_model, bookshop_sampling, target=target)
+    finally:
+        target.close()
+    _, events = read_trace(result.trace_ref)
+    _drop_trace(result)
+    assert len(events) == 60
+    plan_ids = [e.plan["plan_id"] for e in sorted(events,
+                                                  key=lambda e: e.event_id)]
+    assert plan_ids == sorted(plan_ids)
 
 
 def test_concurrent_clean_run_no_error_findings(bookshop_ir):

@@ -333,9 +333,9 @@ def test_path_parameters_never_sample_empty_invalid(bookshop_ir, bookshop_model)
 
 def test_reference_from_state_picks_live_id(bookshop_sampling):
     store = StateStore()
-    store.upsert_live("customer", "c1", {})
-    store.upsert_live("customer", "c2", {})
-    store.upsert_live("customer", "c3", {})
+    store.upsert_live("customer", "c1")
+    store.upsert_live("customer", "c2")
+    store.upsert_live("customer", "c3")
     store.mark_deleted("customer", "c3")
     domain = bookshop_sampling.sampler_set(
         "GET /customers/{customerId}").domain_for("customerId")
@@ -363,7 +363,7 @@ def test_reference_empty_state_falls_back_to_synthesized(bookshop_ir,
 def test_many_reference_from_state_nonempty_subset(bookshop_sampling):
     store = StateStore()
     for i in range(1, 6):
-        store.upsert_live("book", f"b{i}", {})
+        store.upsert_live("book", f"b{i}")
     domain = bookshop_sampling.sampler_set("POST /orders").domain_for("bookIds")
     rng = Random(9)
     for _ in range(50):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from random import Random
 
 import pytest
@@ -44,7 +45,7 @@ def make_plan(crud="read", resource="customer", *, tags=None, path_params=None,
 def test_epoch_strictly_increases_per_mutation():
     store = StateStore()
     assert store.epoch == 0
-    store.upsert_live("customer", "c1", {})
+    store.upsert_live("customer", "c1")
     e1 = store.epoch
     store.mark_deleted("customer", "c1")
     assert store.epoch > e1
@@ -53,40 +54,55 @@ def test_epoch_strictly_increases_per_mutation():
 def test_query_ids_insertion_order_and_filters():
     store = StateStore()
     for cid in ("c1", "c2", "c3"):
-        store.upsert_live("customer", cid, {})
+        store.upsert_live("customer", cid)
     store.mark_deleted("customer", "c3")
-    assert store.query_ids("customer", ("live",)) == ["c1", "c2"]
-    assert store.query_ids("customer", ("deleted",)) == ["c3"]
-    assert store.query_ids("book", ("live",)) == []
+    assert store.query_ids("customer") == ["c1", "c2"]
+    assert store.lifecycle_of("customer", "c3") == "deleted"
+    assert store.lifecycle_of("customer", "c1") == "live"
+    assert store.query_ids("book") == []
     assert StateStore().query_ids("customer") == []
 
 
 def test_no_resurrection_after_delete():
     store = StateStore()
-    store.upsert_live("book", "b1", {})
+    store.upsert_live("book", "b1")
     store.mark_deleted("book", "b1")
-    assert not store.upsert_live("book", "b1", {"again": True})
+    assert not store.upsert_live("book", "b1")
     assert store.lifecycle_of("book", "b1") == "deleted"
-    assert store.resurrections_skipped == 1
 
 
 def test_eviction_prefers_oldest_deleted():
     store = StateStore(cap=4)
     for i in range(4):
-        store.upsert_live("c", f"x{i}", {})
+        store.upsert_live("c", f"x{i}")
     store.mark_deleted("c", "x1")
-    store.upsert_live("c", "x4", {})  # exceeds cap; x1 (deleted) evicted
+    store.upsert_live("c", "x4")  # exceeds cap; x1 (deleted) evicted
     assert len(store) == 4
-    assert store.get("c", "x1") is None
+    assert store.lifecycle_of("c", "x1") is None
     assert store.lifecycle_of("c", "x0") == "live"
+
+
+def test_eviction_takes_the_id_deleted_longest_ago():
+    store = StateStore(cap=4)
+    for i in range(4):
+        store.upsert_live("c", f"x{i}")
+    store.mark_deleted("c", "x3")
+    store.mark_deleted("c", "x1")
+    store.upsert_live("c", "x4")  # exceeds cap; x3 was deleted first
+    assert store.lifecycle_of("c", "x3") is None
+    assert store.lifecycle_of("c", "x1") == "deleted"
+    store.upsert_live("c", "x5")
+    assert store.lifecycle_of("c", "x1") is None
+    assert store.query_ids("c") == ["x0", "x2", "x4", "x5"]
 
 
 def test_eviction_falls_back_to_oldest_live():
     store = StateStore(cap=3)
     for i in range(5):
-        store.upsert_live("c", f"x{i}", {})
+        store.upsert_live("c", f"x{i}")
     assert len(store) == 3
-    assert store.get("c", "x0") is None and store.get("c", "x1") is None
+    assert store.lifecycle_of("c", "x0") is None
+    assert store.lifecycle_of("c", "x1") is None
     assert store.lifecycle_of("c", "x4") == "live"
 
 
@@ -106,7 +122,7 @@ def test_live_id_index_matches_a_full_scan(seed):
         resource = rng.choice(resources)
         action = rng.random()
         if action < 0.5:  # new id, or a re-upsert of a tracked one
-            store.upsert_live(resource, f"i{rng.randrange(12)}", {})
+            store.upsert_live(resource, f"i{rng.randrange(12)}")
         elif action < 0.85:
             store.mark_deleted(resource, f"i{rng.randrange(12)}")
         else:
@@ -118,7 +134,7 @@ def test_live_id_index_matches_a_full_scan(seed):
 
 def test_dump_snapshot_is_json_keyed_by_epoch():
     store = StateStore()
-    store.upsert_live("customer", "c1", {})
+    store.upsert_live("customer", "c1")
     dump = json.loads(store.dump_snapshot())
     assert dump["epoch"] == store.epoch
     assert dump["instances"][0]["id"] == "c1"
@@ -146,10 +162,23 @@ def test_create_inserts_live_instance():
     plan = make_plan("create", plan_id=42)
     apply_effect(plan, make_result(201, {"customerId": "c9"}), store)
     assert store.query_ids("customer") == ["c9"]
-    inst = store.get("customer", "c9")
-    assert inst.lifecycle == "live"
-    assert inst.created_by == 42
-    assert inst.last_representation == {"customerId": "c9"}
+    assert store.lifecycle_of("customer", "c9") == "live"
+
+
+def test_store_holds_no_response_bodies():
+    store = StateStore()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(200):  # 200 distinct 16 KB bodies, ~3.2 MB in all
+            body = {"customerId": f"c{i}", "notes": f"{i:03d}" + "x" * 16_384}
+            apply_effect(make_plan("create", plan_id=i),
+                         make_result(201, body), store)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 200
+    assert held < 1_000_000
 
 
 def test_create_without_id_raises_and_leaves_store_unchanged():
@@ -162,7 +191,7 @@ def test_create_without_id_raises_and_leaves_store_unchanged():
 
 def test_delete_marks_deleted():
     store = StateStore()
-    store.upsert_live("customer", "c9", {})
+    store.upsert_live("customer", "c9")
     plan = make_plan("delete", path_params={"customerId": "c9"})
     epoch = store.epoch
     apply_effect(plan, make_result(204), store)
@@ -219,9 +248,9 @@ def test_replay_equivalence_same_effects_same_store():
 def _store_with(live=(), deleted=()):
     store = StateStore()
     for rid in live:
-        store.upsert_live("customer", rid, {})
+        store.upsert_live("customer", rid)
     for rid in deleted:
-        store.upsert_live("customer", rid, {})
+        store.upsert_live("customer", rid)
         store.mark_deleted("customer", rid)
     return store
 
@@ -263,7 +292,7 @@ def test_invalid_path_parameter_expects_400():
 
 def test_create_with_live_prerequisites_expects_2xx():
     store = StateStore()
-    store.upsert_live("author", "a1", {})
+    store.upsert_live("author", "a1")
     plan = make_plan("create", resource="book", target=None,
                      refs={"authorId": ("author", ("a1",))},
                      tags={"authorId": "from-state"})

@@ -372,6 +372,149 @@ def test_replay_sends_the_url_the_fuzz_run_sent(monkeypatch):
     assert recorder.urls == [plan.concrete_url]
 
 
+_WIDGET = {"type": "object", "properties": {
+    "widgetId": {"type": "string"},
+    "name": {"type": "string", "maxLength": 12},
+    "price": {"type": "number", "minimum": 0, "maximum": 1000},
+    "quantity": {"type": "integer", "minimum": 0, "maximum": 50},
+    "weight": {"type": "number", "nullable": True},
+    "dims": {"type": "array", "items": {"type": "number"}, "maxItems": 3},
+}}
+_WIDGET_IN = {"type": "object", "required": ["name", "price"], "properties": {
+    k: v for k, v in _WIDGET["properties"].items() if k != "widgetId"}}
+
+
+def _widget_spec():
+    def param(name, where, schema, required=False):
+        return {"name": name, "in": where, "schema": schema,
+                "required": required}
+
+    widget_id = param("widgetId", "path", {"type": "string"}, True)
+    priority = param("X-Priority", "header", {"type": "integer", "minimum": 1,
+                                              "maximum": 9})
+    return load_spec(minimal_spec_doc({
+        "/widgets": {
+            "get": {"operationId": "listWidgets", "parameters": [
+                param("active", "query", {"type": "boolean"}),
+                param("minPrice", "query", {"type": "number",
+                                            "nullable": True}),
+                param("tag", "query", {"type": "array",
+                                       "items": {"type": "string"}}),
+                priority],
+                "responses": {"200": json_response(
+                    {"type": "array", "items": _WIDGET})}},
+            "post": {"operationId": "createWidget", "parameters": [priority],
+                     "requestBody": {"content": {"application/json": {
+                         "schema": _WIDGET_IN}}},
+                     "responses": {"201": json_response(_WIDGET),
+                                   "400": {"description": "bad"}}}},
+        "/widgets/{widgetId}": {
+            "get": {"operationId": "getWidget", "parameters": [widget_id],
+                    "responses": {"200": json_response(_WIDGET),
+                                  "404": {"description": "gone"}}},
+            "put": {"operationId": "updateWidget",
+                    "parameters": [widget_id, priority],
+                    "requestBody": {"content": {"application/json": {
+                        "schema": _WIDGET_IN}}},
+                    "responses": {"200": json_response(_WIDGET),
+                                  "400": {"description": "bad"},
+                                  "404": {"description": "gone"}}},
+            "delete": {"operationId": "deleteWidget",
+                       "parameters": [widget_id],
+                       "responses": {"204": {"description": "done"},
+                                     "404": {"description": "gone"}}}},
+    }))
+
+
+class _WidgetRecorder:
+    """A widget store with sequential ids that records every request it
+    gets, as received: method, path, query, headers in order, body."""
+
+    def __init__(self):
+        self.widgets = {}
+        self.created = 0
+        self.requests = []
+
+    def handle(self, method, path, query="", headers=None, body=b""):
+        if path == "/":  # the run's reachability probe
+            return 200, {}, b""
+        self.requests.append((method, path, query,
+                              list((headers or {}).items()), body))
+        parts = path.strip("/").split("/")
+        try:
+            doc = json.loads(body) if body else None
+        except ValueError:
+            doc = None
+        if len(parts) == 1 and method == "GET":
+            return self._reply(200, list(self.widgets.values()))
+        if len(parts) == 1 and method == "POST":
+            if not isinstance(doc, dict):
+                return self._reply(400, {"error": "not an object"})
+            self.created += 1
+            widget_id = f"w{self.created}"
+            self.widgets[widget_id] = {**doc, "widgetId": widget_id}
+            return self._reply(201, self.widgets[widget_id])
+        widget = self.widgets.get(parts[1])
+        if widget is None:
+            return self._reply(404, {"error": "no such widget"})
+        if method == "DELETE":
+            del self.widgets[parts[1]]
+            return 204, {}, b""
+        if method == "PUT":
+            if not isinstance(doc, dict):
+                return self._reply(400, {"error": "not an object"})
+            widget.update(doc, widgetId=parts[1])
+        return self._reply(200, widget)
+
+    @staticmethod
+    def _reply(status, doc):
+        return (status, {"Content-Type": "application/json"},
+                json.dumps(doc).encode())
+
+
+def test_replay_sends_every_request_the_fuzz_run_sent():
+    """A full recreate script, replayed at window 1, sends each request of
+    the fuzz run byte for byte: query booleans, nulls and lists, headers,
+    and JSON bodies with numbers, with ids bound to their producers."""
+    ir = _widget_spec()
+    model = infer_model(ir)
+    fuzzed = _WidgetRecorder()
+    target = InProcessTarget(fuzzed)
+    try:
+        result = run(RunConfig(master_seed=5, max_requests=300,
+                               stop_on_error=False),
+                     model, build_sampling_spec(ir, model), target=target)
+    finally:
+        target.close()
+    _, events = read_trace(result.trace_ref)
+    os.unlink(result.trace_ref)
+    script = bind_symbols(events, model,
+                          expected_failure={"status_class": "5XX"})
+    replayed = _WidgetRecorder()
+    target = InProcessTarget(replayed)
+    try:
+        replay(script, target)
+    finally:
+        target.close()
+
+    sent = fuzzed.requests
+    assert len(sent) == 300
+    # the run drew what this test is about
+    queries = [q for _, _, q, _, _ in sent]
+    assert any("active=true" in q for q in queries)
+    assert any("active=false" in q for q in queries)
+    assert any("minPrice=&" in q or q.endswith("minPrice=") for q in queries)
+    assert any(q.count("tag=") > 1 for q in queries)
+    assert any(name == "X-Priority" for _, _, _, hs, _ in sent
+               for name, _ in hs)
+    assert any(b"." in body for *_, body in sent if body)
+    assert script.bindings
+    for i, (fuzz_request, replayed_request) in enumerate(
+            zip(sent, replayed.requests)):
+        assert replayed_request == fuzz_request, f"request {i}"
+    assert len(replayed.requests) == len(sent)
+
+
 def test_replay_deterministic_ten_of_ten_for_non_race_bug(bookshop_model):
     script = _two_step_script(bookshop_model)
     reproduced = 0
