@@ -31,6 +31,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 
 from ..checker import validate_value
@@ -105,6 +106,8 @@ class BookshopApp:
     def __init__(self, toggles=(), randomize_ids: bool = False,
                  id_seed: int = 20240101, list_cap: int = DEFAULT_LIST_CAP,
                  race_window: float = 0.002):
+        if list_cap < 0:
+            raise ValueError(f"list_cap must be >= 0, got {list_cap}")
         self._toggles = _normalize_toggles(toggles)
         self._randomize_ids = randomize_ids
         self._id_seed = id_seed
@@ -167,8 +170,10 @@ class BookshopApp:
         return rep
 
     def _render_list(self, table: dict) -> list[dict]:
-        records = list(table.values())[-self._list_cap:]
-        return [self._render(r) for r in records]
+        """The last ``list_cap`` records in insertion order, read from the
+        end of the table so that a list costs O(cap), not O(table)."""
+        records = list(islice(reversed(table.values()), self._list_cap))
+        return [self._render(r) for r in reversed(records)]
 
     def _parse_body(self, body: bytes):
         try:

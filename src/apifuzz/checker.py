@@ -5,7 +5,9 @@ Three pure checks run over every completed exchange:
 * ``check_status``   — the observed status must be declared; 5XX is an error
   unless the exact code is declared and the policy allows declared 5XX.
 * ``check_syntactic``— the body must validate against the schema declared for
-  the matched status, constraint by constraint.
+  the matched status, constraint by constraint.  A body is JSON by the rule
+  of :func:`~apifuzz.spec_ingest.media_type`, which counts a missing
+  ``Content-Type`` as JSON.
 * ``check_semantic`` — the observed status must fall in the predicted set.
 
 Findings are graded ``error`` for schema violations, undefined statuses,
@@ -22,10 +24,12 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
+from .http_driver import content_type
 from .spec_ingest import (
     OperationDef,
     ResponseDef,
     SchemaNode,
+    media_type,
     status_pattern_matches,
 )
 from .state_tracker import StatusPrediction
@@ -183,14 +187,9 @@ def validate_value(value: Any, schema: SchemaNode,
 
 # --- individual checks -------------------------------------------------------------
 
-def _content_type(headers: dict) -> str:
-    for key, value in headers.items():
-        if key.lower() == "content-type":
-            return value.split(";")[0].strip().lower()
-    return ""
-
-
-def _matching_response(op: OperationDef, status: int) -> ResponseDef | None:
+def matching_response(op: OperationDef, status: int) -> ResponseDef | None:
+    """The declared response a status falls under: the exact code, else the
+    first class (``2XX``) that matches, else ``default``."""
     exact, by_class, wildcard = None, None, None
     for pattern, resp in op.responses:
         if pattern == str(status):
@@ -229,7 +228,7 @@ def check_status(response, operation: OperationDef,
 def check_syntactic(response, operation: OperationDef) -> list[Finding]:
     """Validate the response body against the schema declared for its status."""
     status = response.status
-    resp = _matching_response(operation, status)
+    resp = matching_response(operation, status)
     if resp is None:
         return []  # undeclared status; check_status already flags it
     if resp.body_schema is None:
@@ -248,8 +247,8 @@ def check_syntactic(response, operation: OperationDef) -> list[Finding]:
             "schema but the body is empty",
             json_path="$", constraint="required", observed=status)]
 
-    ctype = _content_type(response.headers)
-    if ctype and ctype != "application/json" and not ctype.endswith("+json"):
+    ctype, is_json = media_type(content_type(response.headers))
+    if not is_json:
         return [Finding(
             GRADE_INFO, KIND_SCHEMA,
             f"{operation.operation_id} response {status} has content type "

@@ -29,7 +29,8 @@ from .generator import (
     run,
     trace_header,
 )
-from .http_driver import DEFAULT_TIMEOUT, NetworkTarget
+from .http_driver import DEFAULT_TIMEOUT, NetworkTarget, reset
+from .naming import DEFAULT_MATCH_THRESHOLD
 from .sampling import MixtureConfig, WeightTable, build_sampling_spec
 from .semantic_model import (
     DanglingReference,
@@ -225,15 +226,6 @@ def cmd_fuzz(args) -> int:
 
 # --- minimize ---------------------------------------------------------------------
 
-def _reset_endpoint(endpoint: str) -> None:
-    import requests
-
-    try:  # best-effort; fixture-style SUTs expose /_admin/reset
-        requests.post(endpoint.rstrip("/") + "/_admin/reset", timeout=10)
-    except requests.RequestException:
-        pass
-
-
 def cmd_minimize(args) -> int:
     """Reduce a failing trace to a minimal recreate script."""
     try:
@@ -246,7 +238,9 @@ def cmd_minimize(args) -> int:
         return 2
     from .spec_ingest import spec_from_jsonable
     spec = spec_from_jsonable(header["spec_ir"])
-    model = load_model(json.dumps(header["model"]), spec)
+    config = header.get("config") or {}
+    threshold = config.get("match_threshold", DEFAULT_MATCH_THRESHOLD)
+    model = load_model(json.dumps(header["model"]), spec, threshold)
 
     event_id = args.event
     if event_id is None:
@@ -262,20 +256,22 @@ def cmd_minimize(args) -> int:
         print(f"error: trace has no event {event_id}", file=sys.stderr)
         return 2
 
-    max_in_flight = (header.get("config") or {}).get("max_in_flight", 1)
+    max_in_flight = config.get("max_in_flight", 1)
 
     expected = expected_failure_for(by_id[event_id], spec)
     prefix = [e for e in events if e.event_id <= event_id]
-    deps = producer_dependencies(prefix, model)
+    deps = producer_dependencies(prefix, model, threshold)
 
     def target_factory():
-        _reset_endpoint(args.endpoint)
-        return NetworkTarget(args.endpoint, _default_headers(),
-                             verify=not args.insecure)
+        target = NetworkTarget(args.endpoint, _default_headers(),
+                               verify=not args.insecure)
+        reset(target)
+        return target
 
     oracle = build_replay_oracle(
         model, expected, target_factory, max_in_flight=max_in_flight,
-        attempts=args.replay_attempts, timeout=args.timeout)
+        attempts=args.replay_attempts, timeout=args.timeout,
+        threshold=threshold)
 
     try:
         result = minimize(prefix, event_id, oracle, deps,
@@ -284,7 +280,7 @@ def cmd_minimize(args) -> int:
         print(f"not reproducible: {exc}", file=sys.stderr)
         return 3
 
-    script = bind_symbols(result.events, model, expected,
+    script = bind_symbols(result.events, model, expected, threshold,
                           max_in_flight=max_in_flight)
     with open(args.out, "wb") as fh:
         fh.write(script.to_json())

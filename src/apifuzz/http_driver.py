@@ -33,6 +33,8 @@ from urllib.parse import quote, urlencode
 
 import requests
 
+from .spec_ingest import media_type
+
 TRANSPORT_TIMEOUT = "timeout"
 TRANSPORT_REFUSED = "connection-refused"
 TRANSPORT_PROTOCOL = "protocol-error"
@@ -55,13 +57,16 @@ class HttpExchangeResult:
             "exactly one of status/transport_error must be set"
 
 
-def _parse_json_body(headers: dict[str, str], body: bytes):
-    ctype = ""
+def content_type(headers: dict[str, str]) -> str | None:
+    """The ``Content-Type`` header's value, whatever the case of its name."""
     for key, value in headers.items():
         if key.lower() == "content-type":
-            ctype = value.split(";")[0].strip().lower()
-            break
-    if not body or not (ctype == "application/json" or ctype.endswith("+json")):
+            return value
+    return None
+
+
+def _parse_json_body(headers: dict[str, str], body: bytes):
+    if not body or not media_type(content_type(headers))[1]:
         return None, None
     try:
         return json.loads(body.decode("utf-8")), None
@@ -255,6 +260,15 @@ def execute(plan, target, timeout: float = DEFAULT_TIMEOUT) -> HttpExchangeResul
     return HttpExchangeResult(
         status=status, headers=resp_headers, body=resp_body,
         json_body=json_body, json_error=json_error, latency=latency)
+
+
+def reset(target, timeout: float = 10.0) -> None:
+    """Best-effort ``POST /_admin/reset``, which fixture-style SUTs expose;
+    a transport error is ignored."""
+    try:
+        target.request("POST", "/_admin/reset", {}, None, timeout)
+    except requests.RequestException:
+        pass
 
 
 def probe(target, timeout: float = 5.0) -> bool:

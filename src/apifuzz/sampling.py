@@ -168,10 +168,6 @@ def synthesize_from_pattern(pattern: str, rng: Random,
     return None
 
 
-def pattern_supported(pattern: str) -> bool:
-    return synthesize_from_pattern(pattern, Random(0)) is not None
-
-
 # --- domains -------------------------------------------------------------------
 
 @dataclass
@@ -202,13 +198,10 @@ class ValueDomain:
     kind: str
     schema: SchemaNode
     mixture: dict[str, float]  # normalized over applicable components
-    wire_string: bool = False  # serialized on the URL/header rather than JSON
     target_resource: str | None = None
     many: bool = False
     item_schema: SchemaNode | None = None
-    field_domains: dict[str, "ValueDomain"] | None = None
     invalid_strategies: tuple[str, ...] = ()
-    pattern_ok: bool = True
 
 
 @dataclass
@@ -352,16 +345,9 @@ def _domain_for_schema(schema: SchemaNode, mixture_raw: dict[str, float],
     else:
         kind = KIND_COMPOSITE
 
-    field_domains = None
     item_schema = None
-    if kind == KIND_COMPOSITE:
-        if schema.kind == "object":
-            field_domains = {
-                name: _domain_for_schema(sub, mixture_raw, False)
-                for name, sub in schema.properties
-            }
-        elif schema.kind == "array":
-            item_schema = schema.items or SchemaNode(kind="string")
+    if kind == KIND_COMPOSITE and schema.kind == "array":
+        item_schema = schema.items or SchemaNode(kind="string")
 
     strategies = _invalid_strategies(schema, wire_string, is_path)
     applicable = [TAG_VALID]
@@ -374,11 +360,8 @@ def _domain_for_schema(schema: SchemaNode, mixture_raw: dict[str, float],
         kind=kind,
         schema=schema,
         mixture=_normalize_mixture(mixture_raw, applicable),
-        wire_string=wire_string,
         item_schema=item_schema,
-        field_domains=field_domains,
         invalid_strategies=strategies,
-        pattern_ok=(schema.pattern is None or pattern_supported(schema.pattern)),
     )
 
 
@@ -401,13 +384,10 @@ def _domain_for_parameter(param: ParameterDef, model: SemanticModel,
             kind=KIND_REFERENCE,
             schema=schema,
             mixture=_normalize_mixture(mixture_raw, applicable),
-            wire_string=wire_string,
             target_resource=target,
             many=many,
             item_schema=item_schema,
             invalid_strategies=strategies,
-            pattern_ok=(item_schema.pattern is None
-                        or pattern_supported(item_schema.pattern)),
         )
     return _domain_for_schema(param.schema, mixture_raw, wire_string, is_path)
 
@@ -556,7 +536,7 @@ def _valid_sample(schema: SchemaNode, rng: Random) -> Any:
         if synthesized is not None:
             return synthesized
         # unsupported pattern: declared constraints cannot all be honored;
-        # fall back to a plain token (surfaced via ValueDomain.pattern_ok)
+        # fall back to a plain token
     return _random_string(rng, schema.min_length, schema.max_length)
 
 

@@ -66,6 +66,13 @@ def any_pattern_matches(patterns, status: int) -> bool:
     return any(status_pattern_matches(p, status) for p in patterns)
 
 
+def media_type(content_type: str | None) -> tuple[str, bool]:
+    """A ``Content-Type`` value's base type, lowercased, and whether it is
+    JSON: ``application/json``, any ``+json`` type, or no type at all."""
+    base = (content_type or "").split(";")[0].strip().lower()
+    return base, base in ("", "application/json") or base.endswith("+json")
+
+
 # --- IR types ---------------------------------------------------------------
 
 ANY_KIND = "any"
@@ -108,7 +115,6 @@ class ParameterDef:
 
 @dataclass(frozen=True)
 class ResponseDef:
-    status_pattern: str
     body_schema: SchemaNode | None = None
     content_types: tuple[str, ...] = ()
 
@@ -171,23 +177,6 @@ class ApiSpecIR:
             and self.operations == other.operations
             and self.schemas == other.schemas
         )
-
-
-# --- lint catalog -----------------------------------------------------------
-
-LINT_RULES: dict[str, str] = {
-    "missing-response-schema": "success response (other than 204) declares no body schema",
-    "orphan-path-parameter": "path parameter matches no field produced by any response",
-    "no-4xx-declared": "operation takes input but declares no 4XX response",
-    "delete-without-id": "DELETE operation has no path parameter identifying the target",
-    "unsupported-schema-keyword": "schema keyword outside the supported subset was ignored",
-    "composition-branch-chosen": "oneOf/anyOf reduced to its first branch",
-    "schema-cycle-degraded": "self-referential schema degraded to the permissive any-schema",
-    "undeclared-path-parameter": "path template names a parameter the operation never declares",
-    "unsupported-parameter-location": "parameter location outside path/query/header was skipped",
-    "required-field-undeclared": "required list names a field missing from properties",
-    "non-json-body": "request or response body has no JSON content; generation/checking limited",
-}
 
 
 def _warn(warnings: list[LintFinding], rule_id: str, location: str, message: str) -> None:
@@ -391,8 +380,7 @@ def _json_content_schema(content: dict, location: str,
     """Pick the JSON media type schema out of a ``content`` table."""
     content_types = tuple(content.keys())
     for ctype, media in content.items():
-        base = ctype.split(";")[0].strip().lower()
-        if base == "application/json" or base.endswith("+json"):
+        if media_type(ctype)[1]:
             return _schema_node(media.get("schema"), location, warnings), content_types
     if content_types:
         _warn(warnings, "non-json-body", location,
@@ -462,7 +450,7 @@ def _build_operation(method: str, path: str, raw_op: dict, path_params: list[dic
         if raw_resp and "content" in raw_resp:
             resp_schema, ctypes = _json_content_schema(
                 raw_resp["content"] or {}, f"{loc}#response[{pattern}]", warnings)
-        responses.append((pattern, ResponseDef(pattern, resp_schema, ctypes)))
+        responses.append((pattern, ResponseDef(resp_schema, ctypes)))
 
     return OperationDef(
         method=method.upper(),
@@ -637,7 +625,6 @@ def spec_from_jsonable(data: dict) -> ApiSpecIR:
                 if raw.get("request_body_schema") is not None else None),
             responses=tuple(
                 (r["status_pattern"], ResponseDef(
-                    r["status_pattern"],
                     (_schema_from_jsonable(r["body_schema"])
                      if r.get("body_schema") is not None else None),
                     tuple(r.get("content_types", []))))

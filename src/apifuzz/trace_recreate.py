@@ -8,11 +8,15 @@ assigns different ids), and the result is emitted as a script that either
 reproduces the original finding (exit 0 in the CLI), does not (exit 1), or
 cannot be evaluated (exit 2).
 
-A script's window (``max_in_flight``, taken from the run) is the one switch
-on the replay side.  At 1 the steps are sent one after another, once by
-default, and a symbol that does not resolve ends the replay.  Above 1 they are
-sent overlapped up to the window, :data:`DEFAULT_RACE_ATTEMPTS` times by
-default, and a symbol that does not resolve only fails that attempt.
+Replay is one loop that sends the steps in order and binds a producer's
+symbols when its answer is collected.  A script's window (``max_in_flight``,
+taken from the run) is the one switch on the replay side.  At 1 each step is
+sent on the calling thread and answered before the next one is built, the
+last answer is judged, a script runs once by default, and a symbol that does
+not resolve ends the replay.  Above 1 the steps are sent overlapped up to the
+window, a step first collects the producers it consumes, any answer counts, a
+script runs :data:`DEFAULT_RACE_ATTEMPTS` times by default, and a symbol that
+does not resolve only fails that attempt.
 
 The minimizer treats symbolic producers and their consumers as atomic: when a
 candidate removal would orphan a consumer of a removed producer, the consumer
@@ -33,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from .checker import Finding, validate_value
+from .checker import Finding, matching_response, validate_value
 from .http_driver import DEFAULT_TIMEOUT, execute, render_url
 from .naming import DEFAULT_MATCH_THRESHOLD, tokenize
 from .semantic_model import SemanticModel
@@ -507,12 +511,10 @@ def expected_failure_for(event: TraceEvent, spec: ApiSpecIR | None) -> dict:
         if finding.json_path:
             predicate["field"] = _last_segment(finding.json_path) or None
         if spec is not None and event.status is not None:
-            op = spec.operation(event.plan["operation"])
-            for pattern, resp in op.responses:
-                if status_pattern_matches(pattern, event.status) \
-                        and resp.body_schema is not None:
-                    predicate["schema"] = _schema_jsonable(resp.body_schema)
-                    break
+            resp = matching_response(spec.operation(event.plan["operation"]),
+                                     event.status)
+            if resp is not None and resp.body_schema is not None:
+                predicate["schema"] = _schema_jsonable(resp.body_schema)
     elif finding.kind == "no-response":
         predicate["transport_error"] = event.transport_error or "timeout"
     return predicate
@@ -581,19 +583,6 @@ def _build_replay_plan(step: dict, symbols: dict[str, Any]) -> _ReplayPlan:
     return _ReplayPlan(step["method"], url, dict(step.get("headers", {})), body)
 
 
-def _extract_step_symbols(script: RecreateScript, step_idx: int, result,
-                          symbols: dict[str, Any]) -> None:
-    for binding in script.bindings:
-        if binding["producer_step"] != step_idx:
-            continue
-        if result.transport_error or result.json_body is None:
-            raise SymbolResolutionFailure(
-                f"producer step {step_idx} returned no JSON body "
-                f"(status={result.status}, transport={result.transport_error})")
-        symbols[binding["variable"]] = walk_json_path(result.json_body,
-                                                      binding["producer"][1])
-
-
 def _predicate_matches(predicate: dict, result) -> bool:
     if "transport_error" in predicate:
         return bool(result.transport_error) and \
@@ -621,45 +610,60 @@ def _predicate_matches(predicate: dict, result) -> bool:
     return False
 
 
-def _replay_once_sequential(script: RecreateScript, target,
-                            timeout: float) -> bool:
-    symbols: dict[str, Any] = {}
-    result = None
-    for idx, step in enumerate(script.steps):
-        plan = _build_replay_plan(step, symbols)
-        result = execute(plan, target, timeout)
-        _extract_step_symbols(script, idx, result, symbols)
-    if result is None:
-        return False
-    return _predicate_matches(script.expected_failure, result)
+def _replay_once(script: RecreateScript, target, timeout: float) -> bool:
+    """One attempt at the script's window.
 
-
-def _replay_once_concurrent(script: RecreateScript, target,
-                            timeout: float) -> bool:
+    At window 1 ``execute`` runs on this thread, each step is answered before
+    the next one is built, and the last answer is judged.  Above it, a step
+    first collects the steps it takes symbols from, a full window collects
+    its oldest exchange, and any answer counts.
+    """
+    window = script.max_in_flight
+    first_judged = 0 if window > 1 else len(script.steps) - 1
+    producer_step: dict[str, int] = {}
+    bound_by_step: dict[int, list[tuple[str, str]]] = {}
+    for binding in script.bindings:
+        producer_step[binding["variable"]] = binding["producer_step"]
+        bound_by_step.setdefault(binding["producer_step"], []).append(
+            (binding["variable"], binding["producer"][1]))
     symbols: dict[str, Any] = {}
-    results: dict[int, Any] = {}
     pending: dict[int, Any] = {}
+    reproduced = False
 
-    def complete(idx: int) -> None:
-        result = pending.pop(idx).result()
-        results[idx] = result
-        _extract_step_symbols(script, idx, result, symbols)
+    def collect(idx: int, result) -> None:
+        nonlocal reproduced
+        if idx >= first_judged and not reproduced:
+            reproduced = _predicate_matches(script.expected_failure, result)
+        for variable, json_path in bound_by_step.get(idx, ()):
+            if result.transport_error or result.json_body is None:
+                raise SymbolResolutionFailure(
+                    f"producer step {idx} returned no JSON body "
+                    f"(status={result.status}, "
+                    f"transport={result.transport_error})")
+            symbols[variable] = walk_json_path(result.json_body, json_path)
 
-    producer_step = {b["variable"]: b["producer_step"] for b in script.bindings}
-    with ThreadPoolExecutor(max_workers=max(script.max_in_flight, 1)) as pool:
+    executor = ThreadPoolExecutor(max_workers=window) if window > 1 else None
+    try:
         for idx, step in enumerate(script.steps):
+            if executor is None:
+                collect(idx, execute(_build_replay_plan(step, symbols),
+                                     target, timeout))
+                continue
             for variable in sorted(_variables_in_step(step)):
-                pstep = producer_step[variable]
-                if pstep in pending:
-                    complete(pstep)
-            while len(pending) >= script.max_in_flight:
-                complete(next(iter(pending)))
-            plan = _build_replay_plan(step, symbols)
-            pending[idx] = pool.submit(execute, plan, target, timeout)
-        while pending:
-            complete(next(iter(pending)))
-    return any(_predicate_matches(script.expected_failure, r)
-               for r in results.values())
+                producer = producer_step[variable]
+                if producer in pending:
+                    collect(producer, pending.pop(producer).result())
+            while len(pending) >= window:
+                oldest = next(iter(pending))
+                collect(oldest, pending.pop(oldest).result())
+            pending[idx] = executor.submit(
+                execute, _build_replay_plan(step, symbols), target, timeout)
+        for idx in list(pending):
+            collect(idx, pending.pop(idx).result())
+    finally:
+        if executor is not None:
+            executor.shutdown(wait=True)
+    return reproduced
 
 
 def replay(script: RecreateScript, target,
@@ -676,12 +680,11 @@ def replay(script: RecreateScript, target,
     """
     attempts = attempts if attempts is not None else script.attempts
     concurrent = script.max_in_flight > 1
-    runner = _replay_once_concurrent if concurrent else _replay_once_sequential
     unresolved: SymbolResolutionFailure | None = None
     resolved = False
     for attempt in range(1, max(attempts, 1) + 1):
         try:
-            reproduced = runner(script, target, timeout)
+            reproduced = _replay_once(script, target, timeout)
         except SymbolResolutionFailure as exc:
             if not concurrent:
                 raise

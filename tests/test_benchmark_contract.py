@@ -12,7 +12,11 @@ import importlib
 import pathlib
 from types import ModuleType
 
+import pytest
+
 from apifuzz import generator, trace_recreate
+from apifuzz.bookshop import BookshopApp
+from apifuzz.http_driver import InProcessTarget
 from apifuzz.state_tracker import StateStore
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -85,3 +89,42 @@ def test_every_name_the_benchmark_wraps_exists():
     assert {("state_tracker.StateStore", "query_ids"),
             ("state_tracker.StateStore", "upsert_live"),
             ("generator", "execute"), ("trace_recreate", "replay")} <= wraps
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_every_replayed_step_goes_through_the_wrapped_execute(window,
+                                                              monkeypatch):
+    """The benchmark times replay dispatch on ``shrink-seq`` by wrapping
+    ``trace_recreate.execute``; a step sent another way would not count."""
+    sent = []
+    wrapped = trace_recreate.execute
+
+    def counting_execute(plan, target, timeout):
+        sent.append(plan.concrete_url)
+        return wrapped(plan, target, timeout)
+
+    monkeypatch.setattr(trace_recreate, "execute", counting_execute)
+    customer = {"$sym": "$customer_id"}
+    script = trace_recreate.RecreateScript(
+        max_in_flight=window, attempts=1,
+        steps=[{"step": i, "method": method, "path_template": template,
+                "path_params": params, "query": {}, "headers": {},
+                "body": body}
+               for i, (method, template, params, body) in enumerate([
+                   ("POST", "/customers", {}, {"name": "Ada"}),
+                   ("GET", "/customers/{customerId}",
+                    {"customerId": customer}, None),
+                   ("DELETE", "/customers/{customerId}",
+                    {"customerId": customer}, None)])],
+        bindings=[{"variable": "$customer_id", "producer": [1, "$.customerId"],
+                   "producer_step": 0,
+                   "consumers": [[2, "path.customerId"],
+                                 [3, "path.customerId"]]}],
+        expected_failure={"kind": "server-error-5xx", "status_class": "5XX"})
+    target = InProcessTarget(BookshopApp(toggles=["delete-customer-500"]))
+    try:
+        outcome = trace_recreate.replay(script, target)
+    finally:
+        target.close()
+    assert outcome.outcome == "reproduced"
+    assert sent == ["/customers", "/customers/c1", "/customers/c1"]

@@ -141,6 +141,27 @@ def test_list_cap_limits_collection_responses():
     assert body[-1]["authorId"] == "a9"  # most recent kept
 
 
+@pytest.mark.parametrize("created, size", [(4, 3), (7, 5), (12, 8)])
+def test_list_renders_the_last_records_in_table_order(created, size):
+    """Below, at and above the cap, with deletions in between: the list is
+    the table's last ``list_cap`` records, as a slice of the whole table."""
+    app = BookshopApp(list_cap=5)
+    for i in range(created):
+        call(app, "POST", "/customers", {"name": f"C{i}"})
+        if i % 3 == 1:
+            assert call(app, "DELETE", f"/customers/c{i}")[0] == 204
+    assert len(app.customers) == size
+    status, body = call(app, "GET", "/customers")
+    assert status == 200 and len(body) == min(size, 5)
+    assert body == [app._render(r)
+                    for r in list(app.customers.values())[-5:]]
+
+
+def test_negative_list_cap_rejected():
+    with pytest.raises(ValueError):
+        BookshopApp(list_cap=-1)
+
+
 def test_randomized_ids_still_match_pattern():
     import re
     app = BookshopApp(randomize_ids=True)

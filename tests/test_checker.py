@@ -1,3 +1,6 @@
+import json
+from types import SimpleNamespace
+
 from apifuzz.checker import (
     CheckPolicy,
     check_exchange,
@@ -6,7 +9,7 @@ from apifuzz.checker import (
     check_syntactic,
     validate_value,
 )
-from apifuzz.http_driver import HttpExchangeResult
+from apifuzz.http_driver import HttpExchangeResult, execute
 from apifuzz.spec_ingest import SchemaNode
 from apifuzz.state_tracker import StatusPrediction
 
@@ -115,6 +118,29 @@ def test_non_json_content_type_gets_info_finding(bookshop_ir):
     findings = check_syntactic(result, _op(bookshop_ir))
     assert len(findings) == 1
     assert findings[0].grade == "info"
+
+
+class _HeaderlessTarget:
+    """Answers every request with a 200, the given body and no headers."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def request(self, method, url_path, headers, body, timeout):
+        return 200, {}, self.body
+
+
+def test_body_without_content_type_is_checked_as_json(bookshop_ir):
+    plan = SimpleNamespace(method="GET", concrete_url="/customers/c1",
+                           headers={}, body=None)
+    valid = execute(plan, _HeaderlessTarget(
+        json.dumps(_customer_body()).encode()))
+    assert check_syntactic(valid, _op(bookshop_ir)) == []
+
+    unparseable = execute(plan, _HeaderlessTarget(b"{nope"))
+    findings = check_syntactic(unparseable, _op(bookshop_ir))
+    assert [(f.grade, f.constraint) for f in findings] == \
+        [("error", "malformed-body")]
 
 
 def test_undeclared_status_skips_syntactic_check(bookshop_ir):

@@ -1,11 +1,14 @@
+import inspect
 import json
 import os
 
 import pytest
 
+from apifuzz import cli
 from apifuzz.bookshop import bookshop_spec_document
 from apifuzz.bookshop.server import serve
 from apifuzz.cli import main
+from apifuzz.http_driver import NetworkTarget
 
 from conftest import minimal_spec_doc
 
@@ -212,6 +215,60 @@ def test_minimize_not_reproducible_exits_three(failing_trace, tmp_path):
         assert code == 3
     finally:
         clean.stop()
+
+
+def test_minimize_resets_through_the_run_target(failing_trace, tmp_path,
+                                                monkeypatch):
+    """The reset before each replay carries the auth token and the TLS
+    setting, like the replay's own requests."""
+    server, trace = failing_trace
+    resets = []
+    send = NetworkTarget.request
+
+    def recording_request(self, method, url_path, headers, body, timeout):
+        if url_path == "/_admin/reset":
+            resets.append((method, self.default_headers, self.verify))
+        return send(self, method, url_path, headers, body, timeout)
+
+    monkeypatch.setattr(NetworkTarget, "request", recording_request)
+    monkeypatch.setenv("APIFUZZ_AUTH_TOKEN", "s3cret")
+    assert run_cli("minimize", "--trace", trace, "--endpoint", server.base_url,
+                   "--insecure", "--budget", "3",
+                   "--out", str(tmp_path / "s.json")) == 0
+    assert resets
+    assert all(reset == ("POST", {"Authorization": "Bearer s3cret"}, False)
+               for reset in resets)
+
+
+def test_minimize_binds_ids_at_the_run_threshold(spec_file, tmp_path,
+                                                 monkeypatch):
+    """A run fuzzed at ``--threshold 0.6`` is minimized at 0.6: the model,
+    the dependencies, the oracle's scripts and the final script."""
+    takers = ("load_model", "producer_dependencies", "build_replay_oracle",
+              "bind_symbols")
+    server = serve(port=0, toggles=["delete-customer-500"])
+    trace = str(tmp_path / "fail.jsonl")
+    try:
+        assert run_cli("fuzz", spec_file, "--endpoint", server.base_url,
+                       "--duration", "60", "--seed", "1", "--stop-on-error",
+                       "--threshold", "0.6", "--trace", trace,
+                       "--report", str(tmp_path / "r.json")) == 1
+        thresholds = {}
+        for name in takers:
+            def recording(*args, _name=name, _call=getattr(cli, name),
+                          **kwargs):
+                bound = inspect.signature(_call).bind(*args, **kwargs)
+                bound.apply_defaults()
+                thresholds.setdefault(_name, set()).add(
+                    bound.arguments["threshold"])
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recording)
+        assert run_cli("minimize", "--trace", trace,
+                       "--endpoint", server.base_url, "--budget", "3",
+                       "--out", str(tmp_path / "s.json")) == 0
+    finally:
+        server.stop()
+    assert thresholds == {name: {0.6} for name in takers}
 
 
 def test_replay_malformed_script_exits_two(tmp_path, clean_server):

@@ -18,7 +18,6 @@ from apifuzz.sampling import (
     TAG_VALID,
     WeightTable,
     build_sampling_spec,
-    pattern_supported,
     sample_value,
     select_operation,
     synthesize_from_pattern,
@@ -393,4 +392,3 @@ def test_synthesized_strings_match_their_pattern(pattern):
 @pytest.mark.parametrize("pattern", [r"(ab|cd)+", r"^[^a-z]+$", r"a{2"])
 def test_unsupported_patterns_report_none(pattern):
     assert synthesize_from_pattern(pattern, Random(0)) is None
-    assert not pattern_supported(pattern)

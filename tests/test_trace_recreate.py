@@ -1,17 +1,19 @@
 import json
 import os
+import threading
+import time
 from random import Random
 
 import pytest
 
-from apifuzz import generator
+from apifuzz import generator, trace_recreate
 from apifuzz.bookshop import BookshopApp
 from apifuzz.checker import Finding
 from apifuzz.generator import RunConfig, generate_request, run
-from apifuzz.http_driver import HttpExchangeResult, InProcessTarget
+from apifuzz.http_driver import HttpExchangeResult, InProcessTarget, execute
 from apifuzz.sampling import TAG_VALID, SampledValue, build_sampling_spec
 from apifuzz.semantic_model import infer_model
-from apifuzz.spec_ingest import load_spec
+from apifuzz.spec_ingest import _schema_jsonable, load_spec
 from apifuzz.state_tracker import StateStore
 from apifuzz.trace_recreate import (
     DEFAULT_RACE_ATTEMPTS,
@@ -299,6 +301,31 @@ def test_script_validation_rejects_symbol_before_producer():
              "expected_failure": {}}))
 
 
+def test_schema_predicate_takes_the_response_the_checker_matched():
+    """``default`` and ``2XX`` declared before ``200``: the checker validates
+    a 200 against the exact code, so the predicate carries that schema."""
+    item = {"type": "object", "required": ["thingId"],
+            "properties": {"thingId": {"type": "string"}}}
+    error = {"type": "object", "properties": {"message": {"type": "string"}}}
+    ir = load_spec(minimal_spec_doc({"/things/{thingId}": {"get": {
+        "parameters": [{"name": "thingId", "in": "path", "required": True,
+                        "schema": {"type": "string"}}],
+        "responses": {"default": json_response(error),
+                      "2XX": json_response(error),
+                      "200": json_response(item)}}}}))
+    failing = event(1, plan_dict("GET /things/{thingId}", "GET",
+                                 "/things/{thingId}",
+                                 path_params={"thingId": "t1"}),
+                    status=200, body={},
+                    findings=[error_finding("schema-violation",
+                                            json_path="$.thingId",
+                                            constraint="required")])
+    predicate = expected_failure_for(failing, ir)
+    assert predicate["schema"] == _schema_jsonable(
+        ir.operation("GET /things/{thingId}").response_map()["200"].body_schema)
+    assert predicate["schema"]["required_fields"] == ["thingId"]
+
+
 # --- replay -----------------------------------------------------------------------------
 
 def _two_step_script(bookshop_model):
@@ -325,6 +352,73 @@ def test_replay_reproduces_on_fresh_fixture_with_random_ids(bookshop_model):
     target.close()
     assert outcome.outcome == "reproduced"
     assert outcome.exit_code == 0
+
+
+def test_window_one_replay_executes_every_step_on_the_calling_thread(
+        bookshop_model, monkeypatch):
+    threads = []
+
+    def recording_execute(plan, target, timeout):
+        threads.append(threading.get_ident())
+        return execute(plan, target, timeout)
+
+    monkeypatch.setattr(trace_recreate, "execute", recording_execute)
+    script = _two_step_script(bookshop_model)
+    target = InProcessTarget(BookshopApp(toggles=["delete-customer-500"]))
+    try:
+        assert replay(script, target).outcome == "reproduced"
+    finally:
+        target.close()
+    assert threads == [threading.get_ident()] * len(script.steps)
+
+
+class _SlowProducerLog:
+    """``POST /customers`` answers after a pause; every request logs when
+    it was sent and when it was answered."""
+
+    def __init__(self):
+        self.log = []
+        self._lock = threading.Lock()
+
+    def request(self, method, url_path, headers, body, timeout):
+        with self._lock:
+            self.log.append(("sent", method, url_path))
+        if method == "POST":
+            time.sleep(0.05)
+            status, doc = 201, {"customerId": "c77", "name": "Ada"}
+        else:
+            status, doc = 500, {"error": "x"}
+        with self._lock:
+            self.log.append(("answered", method, url_path))
+        return status, {"Content-Type": "application/json"}, \
+            json.dumps(doc).encode()
+
+
+def test_window_two_collects_a_producer_before_sending_its_consumers(
+        bookshop_model):
+    read = ("GET /customers/{customerId}", "GET", "/customers/{customerId}")
+    events = [
+        event(1, plan_dict("POST /customers", "POST", "/customers",
+                           body={"name": "Ada"}, crud="create",
+                           resource="customer", plan_id=1),
+              status=201, body={"customerId": "c1", "name": "Ada"}),
+        event(2, plan_dict(*read, path_params={"customerId": "c1"},
+                           resource="customer", plan_id=2),
+              status=200),
+        event(3, plan_dict(*read, path_params={"customerId": "c1"},
+                           resource="customer", plan_id=3),
+              status=500, body={"error": "x"}, findings=[error_finding()]),
+    ]
+    script = bind_symbols(events, bookshop_model, max_in_flight=2, attempts=1)
+    (binding,) = script.bindings
+    assert len(binding["consumers"]) == 2
+    target = _SlowProducerLog()
+    assert replay(script, target).outcome == "reproduced"
+    answered = target.log.index(("answered", "POST", "/customers"))
+    consumers = [i for i, entry in enumerate(target.log)
+                 if entry == ("sent", "GET", "/customers/c77")]
+    assert len(consumers) == 2
+    assert answered < min(consumers)
 
 
 def test_replay_sends_the_url_the_fuzz_run_sent(monkeypatch):
