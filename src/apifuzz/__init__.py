@@ -46,7 +46,6 @@ from .state_tracker import (
     predict_status,
 )
 from .checker import (
-    CheckPolicy,
     Finding,
     check_exchange,
     check_semantic,
@@ -86,7 +85,7 @@ __all__ = [
     "MixtureConfig", "SamplingSpec", "WeightTable", "build_sampling_spec",
     "sample_value", "select_operation",
     "StateStore", "StatusPrediction", "apply_effect", "predict_status",
-    "CheckPolicy", "Finding", "check_exchange", "check_semantic",
+    "Finding", "check_exchange", "check_semantic",
     "check_status", "check_syntactic",
     "HttpExchangeResult", "InProcessTarget", "NetworkTarget", "execute",
     "EndpointUnreachable", "RequestPlan", "RunConfig", "RunResult",

@@ -2,8 +2,8 @@
 
 Three pure checks run over every completed exchange:
 
-* ``check_status``   — the observed status must be declared; 5XX is an error
-  unless the exact code is declared and the policy allows declared 5XX.
+* ``check_status``   — the observed status must be declared, and any 5XX is
+  an error, declared or not.
 * ``check_syntactic``— the body must validate against the schema declared for
   the matched status, constraint by constraint.  A body is JSON by the rule
   of :func:`~apifuzz.spec_ingest.media_type`, which counts a missing
@@ -21,7 +21,7 @@ failures surface as a ``no-response`` warning.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .http_driver import content_type
@@ -29,6 +29,7 @@ from .spec_ingest import (
     OperationDef,
     ResponseDef,
     SchemaNode,
+    any_pattern_matches,
     media_type,
     status_pattern_matches,
 )
@@ -87,15 +88,6 @@ class Finding:
             observed=data.get("observed"),
             basis=data.get("basis"),
         )
-
-
-@dataclass
-class CheckPolicy:
-    allow_declared_5xx: bool = False
-    stale_semantic_grade: str = GRADE_WARNING
-
-
-DEFAULT_POLICY = CheckPolicy()
 
 
 # --- schema validation -----------------------------------------------------------
@@ -201,22 +193,18 @@ def matching_response(op: OperationDef, status: int) -> ResponseDef | None:
     return exact or by_class or wildcard
 
 
-def check_status(response, operation: OperationDef,
-                 policy: CheckPolicy = DEFAULT_POLICY) -> Finding | None:
-    """Flag undeclared statuses and (undeclared or disallowed) server errors."""
+def check_status(response, operation: OperationDef) -> Finding | None:
+    """Flag undeclared statuses and every server error."""
     status = response.status
     declared = [pattern for pattern, _ in operation.responses]
     if status >= 500:
-        if str(status) in declared and policy.allow_declared_5xx:
-            return None
-        qualifier = "declared but not allowed by policy" \
-            if str(status) in declared else "not declared"
+        qualifier = "declared" if str(status) in declared else "not declared"
         return Finding(
             GRADE_ERROR, KIND_5XX,
             f"{operation.operation_id} returned {status} ({qualifier}); "
             f"declared statuses: {declared}",
             observed=status)
-    if not any(status_pattern_matches(p, status) for p in declared):
+    if not any_pattern_matches(declared, status):
         return Finding(
             GRADE_ERROR, KIND_UNDEFINED,
             f"{operation.operation_id} returned {status}, which matches none of "
@@ -274,14 +262,12 @@ def check_syntactic(response, operation: OperationDef) -> list[Finding]:
     return findings
 
 
-def check_semantic(response, prediction: StatusPrediction,
-                   policy: CheckPolicy = DEFAULT_POLICY) -> Finding | None:
+def check_semantic(response, prediction: StatusPrediction) -> Finding | None:
     """Compare the observed status against the state-based prediction."""
     status = response.status
     if prediction.matches(status):
         return None
-    grade = GRADE_ERROR if prediction.basis == "exact-state" \
-        else policy.stale_semantic_grade
+    grade = GRADE_ERROR if prediction.basis == "exact-state" else GRADE_WARNING
     return Finding(
         grade, KIND_SEMANTIC,
         f"expected one of {sorted(prediction.expected_classes)} but observed "
@@ -292,7 +278,6 @@ def check_semantic(response, prediction: StatusPrediction,
 
 def check_exchange(plan, response, operation: OperationDef,
                    prediction: StatusPrediction | None,
-                   policy: CheckPolicy = DEFAULT_POLICY,
                    exchange_ref: int | None = None) -> list[Finding]:
     """Run every applicable check on one exchange; pure, order-stable."""
     if response.transport_error:
@@ -301,18 +286,14 @@ def check_exchange(plan, response, operation: OperationDef,
                         f"{response.transport_error}",
                         exchange_ref=exchange_ref)]
     findings: list[Finding] = []
-    status_finding = check_status(response, operation, policy)
+    status_finding = check_status(response, operation)
     if status_finding:
         findings.append(status_finding)
     findings.extend(check_syntactic(response, operation))
     if prediction is not None:
-        semantic = check_semantic(response, prediction, policy)
+        semantic = check_semantic(response, prediction)
         if semantic:
             findings.append(semantic)
     if exchange_ref is not None:
-        findings = [
-            Finding(f.grade, f.kind, f.detail, exchange_ref, f.json_path,
-                    f.constraint, f.expected, f.observed, f.basis)
-            for f in findings
-        ]
+        findings = [replace(f, exchange_ref=exchange_ref) for f in findings]
     return findings

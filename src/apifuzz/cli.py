@@ -40,8 +40,15 @@ from .semantic_model import (
     merge_overrides,
     serialize_model,
 )
-from .spec_ingest import SpecError, lint_spec, load_spec, load_spec_file
+from .spec_ingest import (
+    SpecError,
+    lint_spec,
+    load_spec,
+    load_spec_file,
+    spec_from_jsonable,
+)
 from .trace_recreate import (
+    DEFAULT_ORACLE_BUDGET,
     NotReproducible,
     RecreateScript,
     SymbolResolutionFailure,
@@ -199,7 +206,6 @@ def cmd_fuzz(args) -> int:
         result = run(config, model, sampling_spec, target=target,
                      trace_sink=sink, progress=progress)
     except EndpointUnreachable as exc:
-        sink.close()
         print(f"error: endpoint unreachable: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -236,7 +242,6 @@ def cmd_minimize(args) -> int:
     if not events:
         print("error: trace has no events", file=sys.stderr)
         return 2
-    from .spec_ingest import spec_from_jsonable
     spec = spec_from_jsonable(header["spec_ir"])
     config = header.get("config") or {}
     threshold = config.get("match_threshold", DEFAULT_MATCH_THRESHOLD)
@@ -411,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="model file to write")
     p_model.add_argument("--overrides", default=None,
                          help="partial model file merged over the inference")
-    p_model.add_argument("--threshold", type=float, default=0.8,
+    p_model.add_argument("--threshold", type=float,
+                         default=DEFAULT_MATCH_THRESHOLD,
                          help="name-match threshold")
     p_model.add_argument("--strict", action="store_true",
                          help="exit nonzero on error-grade lint findings")
@@ -460,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="failing event id (default: last error event)")
     p_min.add_argument("--endpoint", required=True)
     p_min.add_argument("--out", default="recreate-script.json")
-    p_min.add_argument("--budget", type=int, default=500,
+    p_min.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
                        help="max replay-oracle calls")
     p_min.add_argument("--replay-attempts", dest="replay_attempts", type=int,
                        default=None)

@@ -28,8 +28,6 @@ from typing import Any, Callable
 from .checker import (
     GRADE_ERROR,
     GRADE_WARNING,
-    CheckPolicy,
-    DEFAULT_POLICY,
     Finding,
     check_exchange,
 )
@@ -49,7 +47,12 @@ from .sampling import (
     sample_value,
     select_operation,
 )
-from .semantic_model import OperationBinding, SemanticModel, topological_order
+from .semantic_model import (
+    OperationBinding,
+    SemanticModel,
+    serialize_model,
+    topological_order,
+)
 from .spec_ingest import spec_to_jsonable
 from .state_tracker import (
     DEFAULT_STORE_CAP,
@@ -72,6 +75,10 @@ DEFAULT_WARMUP = 20
 
 @dataclass
 class RequestPlan:
+    """One filled request.  Its wire form, as traced, leaves out the
+    binding's resource and CRUD kind, ``resource_id_fields`` and
+    ``declared_status_patterns``: each follows from ``operation`` and the
+    trace header's model and spec IR."""
     binding: OperationBinding
     method: str
     path_template: str
@@ -92,8 +99,6 @@ class RequestPlan:
         return {
             "plan_id": self.plan_id,
             "operation": self.binding.operation_id,
-            "resource": self.binding.resource,
-            "crud_kind": self.binding.crud_kind,
             "method": self.method,
             "path_template": self.path_template,
             "concrete_url": self.concrete_url,
@@ -106,8 +111,6 @@ class RequestPlan:
             "reference_values": {k: [res, list(ids)]
                                  for k, (res, ids) in self.reference_values.items()},
             "target_id_param": self.target_id_param,
-            "resource_id_fields": list(self.resource_id_fields),
-            "declared_status_patterns": list(self.declared_status_patterns),
         }
 
 
@@ -125,7 +128,6 @@ class RunConfig:
     match_threshold: float = DEFAULT_MATCH_THRESHOLD
     store_cap: int = DEFAULT_STORE_CAP
     path_excludes: tuple[str, ...] = ("/_admin",)
-    trace_body_limit: int = 4096
     progress_interval: float = 5.0
 
     def __post_init__(self):
@@ -299,14 +301,13 @@ def _warmup_bindings(model: SemanticModel) -> list[OperationBinding]:
 
 class _RunState:
     def __init__(self, config: RunConfig, model: SemanticModel, target,
-                 trace_sink, policy):
+                 trace_sink):
         if model.spec is None:
             raise ValueError("model has no attached spec; load it with one")
         self.config = config
         self.model = _filtered_model(model, config.path_excludes)
         if not self.model.bindings:
             raise ValueError("no operations left to fuzz after path excludes")
-        self.policy = policy or DEFAULT_POLICY
         self.rng = Random(config.master_seed)
         self.store = StateStore(config.store_cap)
         self.warmup = _warmup_bindings(self.model)
@@ -369,8 +370,7 @@ class _RunState:
         per_op = counters["per_operation"]
         per_op[op_id] = per_op.get(op_id, 0) + 1
         findings = check_exchange(plan, result, self.ops_by_id[op_id],
-                                  prediction, self.policy,
-                                  exchange_ref=event_id)
+                                  prediction, exchange_ref=event_id)
         self.note_findings(findings)
         try:
             apply_effect(plan, result, self.store, self.config.match_threshold)
@@ -381,8 +381,7 @@ class _RunState:
                                   f"(plan {plan.plan_id}): {exc}")
         event = make_trace_event(
             event_id, plan.to_wire_dict(), result, findings, prediction,
-            dispatch_epoch=dispatch_epoch, completion_epoch=self.store.epoch,
-            body_limit=self.config.trace_body_limit)
+            dispatch_epoch=dispatch_epoch, completion_epoch=self.store.epoch)
         try:
             self.sink.append(event)
         except SinkWriteError as exc:
@@ -424,7 +423,6 @@ class _RunState:
 
 
 def trace_header(config: RunConfig, model: SemanticModel) -> dict:
-    from .semantic_model import serialize_model  # local to avoid import cycle noise
     return {
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": config.to_dict(),
@@ -446,16 +444,14 @@ def _should_stop(state: _RunState, dispatched: int) -> str | None:
 
 def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
         target=None, trace_sink: TraceSink | None = None,
-        policy: CheckPolicy | None = None,
         progress: Callable | None = None) -> RunResult:
     """Fuzz until a stop condition holds, ``config.max_in_flight`` at a time.
 
     At window 1 ``execute`` runs on this thread.  Ctrl-C stops the run as
     ``operator-stop``; exchanges still in flight then go untraced.
     """
-    state = _RunState(config, model, target, trace_sink, policy)
+    state = _RunState(config, model, target, trace_sink)
     window = config.max_in_flight
-    predict_mode = "concurrent" if window > 1 else "sequential"
     executor = ThreadPoolExecutor(max_workers=window,
                                   thread_name_prefix="apifuzz-worker") \
         if window > 1 else None
@@ -472,7 +468,7 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
                                         state.rng, plan_id=dispatched,
                                         n_warmup=config.n_warmup,
                                         warmup_bindings=state.warmup)
-                job = (plan, predict_status(plan, state.store, predict_mode),
+                job = (plan, predict_status(plan, state.store, window > 1),
                        state.store.epoch)
                 if executor is None:
                     stop_reason = state.complete(*job, execute(

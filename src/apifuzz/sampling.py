@@ -48,6 +48,7 @@ DEFAULT_NUMBER_LOW = 0.0
 DEFAULT_NUMBER_HIGH = 1000.0
 DEFAULT_MAX_STRING = 64
 DEFAULT_MAX_ARRAY = 3
+PATTERN_ATTEMPTS = 8
 
 _ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
@@ -149,8 +150,7 @@ def _synthesize_once(pattern: str, rng: Random) -> str | None:
     return "".join(out)
 
 
-def synthesize_from_pattern(pattern: str, rng: Random,
-                            attempts: int = 8) -> str | None:
+def synthesize_from_pattern(pattern: str, rng: Random) -> str | None:
     """Generate a string matching a simple regular expression, or None.
 
     Supports literals, character classes with ranges, ``\\d \\w \\s``, ``.``,
@@ -161,7 +161,7 @@ def synthesize_from_pattern(pattern: str, rng: Random,
         compiled = re.compile(pattern)
     except re.error:
         return None
-    for _ in range(attempts):
+    for _ in range(PATTERN_ATTEMPTS):
         candidate = _synthesize_once(pattern, rng)
         if candidate is not None and compiled.fullmatch(candidate):
             return candidate
@@ -212,11 +212,6 @@ class ParameterSamplerSet:
     def key_for(param: ParameterDef, taken: set[str]) -> str:
         return param.name if param.name not in taken \
             else f"{param.location}:{param.name}"
-
-    def domain_for(self, name: str, location: str | None = None) -> ValueDomain:
-        if location is not None and f"{location}:{name}" in self.per_parameter:
-            return self.per_parameter[f"{location}:{name}"]
-        return self.per_parameter[name]
 
 
 @dataclass

@@ -84,12 +84,6 @@ class SemanticModel:
                 return r
         raise KeyError(name)
 
-    def binding_for(self, operation_id: str) -> OperationBinding:
-        for b in self.bindings:
-            if b.operation_id == operation_id:
-                return b
-        raise KeyError(operation_id)
-
     def bindings_for_resource(self, name: str) -> list[OperationBinding]:
         return [b for b in self.bindings if b.resource == name]
 
@@ -97,9 +91,6 @@ class SemanticModel:
         if self.spec is None:
             raise ValueError("model has no attached spec")
         return self.spec.operation(binding.operation_id)
-
-    def edge_set(self) -> set[tuple[str, str]]:
-        return {(e.dependent, e.prerequisite) for e in self.edges}
 
     def id_resource(self, name: str, threshold: float) -> str | None:
         """The resource whose id fields ``name`` matches best, if that score

@@ -131,9 +131,6 @@ class OperationDef:
     def operation_id(self) -> str:
         return f"{self.method} {self.path_template}"
 
-    def response_map(self) -> dict[str, ResponseDef]:
-        return dict(self.responses)
-
     def path_parameters(self) -> list[ParameterDef]:
         return [p for p in self.parameters if p.location == "path"]
 

@@ -12,9 +12,9 @@ SUT could legitimately return for a planned request.
 Prediction mirrors the conventional request-validation order of REST
 services (and of the bookshop fixture): path id syntax first, then object
 existence, then the rest of the input; creations validate their body before
-resolving references.  In concurrent mode predictions are widened: anything
-that assumed an instance was live also accepts 404, because an in-flight
-delete may win the race ("stale-possible" basis).
+resolving references.  For a concurrent run (a window above 1) predictions
+are widened: anything that assumed an instance was live also accepts 404,
+because an in-flight delete may win the race ("stale-possible" basis).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any, Iterable
 
 from .naming import DEFAULT_MATCH_THRESHOLD, match_names
 from .sampling import TAG_INVALID
-from .spec_ingest import status_pattern_matches
+from .spec_ingest import any_pattern_matches
 
 LIVE = "live"
 DELETED = "deleted"
@@ -193,8 +193,7 @@ class StatusPrediction:
     rationale: str
 
     def matches(self, status: int) -> bool:
-        return any(status_pattern_matches(p, status)
-                   for p in self.expected_classes)
+        return any_pattern_matches(self.expected_classes, status)
 
 
 def _references_all_live(request, state) -> tuple[bool, str | None]:
@@ -207,10 +206,10 @@ def _references_all_live(request, state) -> tuple[bool, str | None]:
     return True, None
 
 
-def predict_status(request, store, mode: str = "sequential") -> StatusPrediction:
+def predict_status(request, store, concurrent: bool = False) -> StatusPrediction:
     """Predict the status classes a correct SUT may return for this plan,
-    from the store as it stands when the plan is dispatched."""
-    concurrent = mode == "concurrent"
+    from the store as it stands when the plan is dispatched; ``concurrent``
+    widens what an in-flight exchange could change."""
     binding = request.binding
     crud = binding.crud_kind
     tags = request.value_tags

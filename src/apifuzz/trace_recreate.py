@@ -54,6 +54,10 @@ SCRIPT_VERSION = 1
 
 DEFAULT_ORACLE_BUDGET = 500
 DEFAULT_RACE_ATTEMPTS = 20
+# Replays of the full prefix before a finding counts as not reproducible.
+INITIAL_ATTEMPTS = 3
+# Bodies above this many bytes are traced as a size and digest.
+TRACE_BODY_LIMIT = 4096
 
 
 class SinkWriteError(Exception):
@@ -130,16 +134,15 @@ class TraceEvent:
 
 def make_trace_event(event_id: int, plan_wire: dict, result, findings,
                      prediction=None, dispatch_epoch: int = 0,
-                     completion_epoch: int = 0,
-                     body_limit: int = 4096) -> TraceEvent:
+                     completion_epoch: int = 0) -> TraceEvent:
     """Build the persisted form of one exchange.
 
-    Bodies above ``body_limit`` bytes are replaced by a size+digest marker;
-    non-UTF-8 bodies are base64-encoded.
+    Bodies above :data:`TRACE_BODY_LIMIT` bytes are replaced by a size+digest
+    marker; non-UTF-8 bodies are base64-encoded.
     """
     body_json = body_text = body_b64 = None
     if result.body:
-        if len(result.body) > body_limit:
+        if len(result.body) > TRACE_BODY_LIMIT:
             body_json = {"__truncated__": True,
                          "sha256": hashlib.sha256(result.body).hexdigest(),
                          "bytes": len(result.body)}
@@ -172,7 +175,7 @@ class TraceSink:
         self.path = path
         header = {"trace_version": TRACE_VERSION, **header}
         try:
-            self._fh.write(json.dumps(header, sort_keys=True) + "\n")
+            self._fh.write(json.dumps(header) + "\n")
             self._fh.flush()
         except OSError as exc:
             raise SinkWriteError(f"cannot write trace header: {exc}") from exc
@@ -187,7 +190,7 @@ class TraceSink:
 
     def append(self, event: TraceEvent) -> None:
         try:
-            self._fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+            self._fh.write(json.dumps(event.to_dict()) + "\n")
             self._fh.flush()
         except (OSError, ValueError) as exc:
             raise SinkWriteError(f"cannot append event {event.event_id}: {exc}") \
@@ -501,10 +504,7 @@ def expected_failure_for(event: TraceEvent, spec: ApiSpecIR | None) -> dict:
     predicate: dict[str, Any] = {"kind": finding.kind}
     if finding.kind == "server-error-5xx":
         predicate["status_class"] = "5XX"
-    elif finding.kind == "undefined-status":
-        predicate["status_not_in"] = list(
-            event.plan.get("declared_status_patterns", []))
-    elif finding.kind == "semantic-mismatch":
+    elif finding.kind in ("undefined-status", "semantic-mismatch"):
         predicate["status_not_in"] = list(finding.expected)
     elif finding.kind == "schema-violation":
         predicate["constraint"] = finding.constraint
@@ -733,13 +733,12 @@ def producer_dependencies(events: Sequence[TraceEvent], model: SemanticModel,
 def minimize(trace: Sequence[TraceEvent], failing_event: int,
              oracle: Callable[[Sequence[TraceEvent]], bool],
              dependencies: dict[int, set[int]] | None = None,
-             max_oracle_calls: int = DEFAULT_ORACLE_BUDGET,
-             initial_attempts: int = 3) -> MinimizeResult:
+             max_oracle_calls: int = DEFAULT_ORACLE_BUDGET) -> MinimizeResult:
     """Reduce the prefix ending at ``failing_event`` to a 1-minimal subsequence.
 
     ``oracle(events)`` replays a candidate subsequence and reports whether the
     original finding re-occurred.  The full prefix must reproduce at least
-    once in ``initial_attempts`` tries, else :class:`NotReproducible`.  When
+    once in :data:`INITIAL_ATTEMPTS` tries, else :class:`NotReproducible`.  When
     ``dependencies`` (consumer -> producer event ids) is given, removing a
     producer cascades its transitive consumers out of the candidate instead
     of spending an oracle call on an unresolvable sequence.  A delta-debugging
@@ -779,13 +778,13 @@ def minimize(trace: Sequence[TraceEvent], failing_event: int,
         calls += 1
         return oracle(candidate)
 
-    for _ in range(initial_attempts):
+    for _ in range(INITIAL_ATTEMPTS):
         if test(prefix):
             break
     else:
         raise NotReproducible(
             f"finding at event {failing_event} did not reproduce in "
-            f"{initial_attempts} replays of the full {len(prefix)}-event prefix")
+            f"{INITIAL_ATTEMPTS} replays of the full {len(prefix)}-event prefix")
 
     kept = [e for e in prefix if e.event_id != failing_event]
     proven = True

@@ -50,6 +50,10 @@ def minimal_spec_doc(paths: dict, schemas: dict | None = None) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def edge_set(model) -> set[tuple[str, str]]:
+    return {(e.dependent, e.prerequisite) for e in model.edges}
+
+
 def json_response(schema: dict, description: str = "ok") -> dict:
     return {"description": description,
             "content": {"application/json": {"schema": schema}}}

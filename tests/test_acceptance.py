@@ -33,7 +33,7 @@ from apifuzz.trace_recreate import (
     read_trace,
 )
 
-from conftest import json_response, minimal_spec_doc
+from conftest import edge_set, json_response, minimal_spec_doc
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -132,7 +132,7 @@ def test_criterion_2_no_false_positives_five_minutes(bookshop_model,
 
 def test_criterion_3_semantic_model_golden(bookshop_model):
     """Edges exactly {Book->Author, Order->Customer, Order->Book}; >=90% CRUD."""
-    edges = bookshop_model.edge_set()
+    edges = edge_set(bookshop_model)
     golden = {("book", "author"), ("order", "customer"), ("order", "book")}
     classified = sum(1 for b in bookshop_model.bindings
                      if b.crud_kind != "other")

@@ -2,7 +2,6 @@ import json
 from types import SimpleNamespace
 
 from apifuzz.checker import (
-    CheckPolicy,
     check_exchange,
     check_semantic,
     check_status,
@@ -44,7 +43,7 @@ def test_undeclared_status_is_flagged(bookshop_ir):
     assert finding.observed == 302
 
 
-def test_declared_5xx_allowed_only_by_policy():
+def test_declared_5xx_is_still_an_error():
     from conftest import json_response, minimal_spec_doc
     from apifuzz.spec_ingest import load_spec
 
@@ -54,14 +53,11 @@ def test_declared_5xx_allowed_only_by_policy():
             "503": {"description": "declared overload"}}}},
     }))
     op = ir.operation("GET /busy")
-    default = check_status(make_result(503), op)
-    assert default is not None and default.kind == "server-error-5xx"
-    allowed = check_status(make_result(503), op,
-                           CheckPolicy(allow_declared_5xx=True))
-    assert allowed is None
-    undeclared = check_status(make_result(500), op,
-                              CheckPolicy(allow_declared_5xx=True))
-    assert undeclared is not None
+    declared = check_status(make_result(503), op)
+    assert declared is not None and declared.kind == "server-error-5xx"
+    assert declared.grade == "error"
+    undeclared = check_status(make_result(500), op)
+    assert undeclared is not None and undeclared.kind == "server-error-5xx"
 
 
 # --- syntactic checking -----------------------------------------------------------
@@ -215,8 +211,8 @@ def test_status_and_syntactic_findings_commute(bookshop_ir):
 
 
 def test_grade_mapping_under_default_policy(bookshop_ir):
-    # error-grade kinds under the default policy, with the two documented
-    # exceptions: stale-possible semantic mismatches and unchecked content
+    # every kind grades error, with the two documented exceptions:
+    # stale-possible semantic mismatches and unchecked content
     plan = make_plan("read")
     result = make_result(500, {"error": "x"})
     findings = check_exchange(plan, result, _op(bookshop_ir),

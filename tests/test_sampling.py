@@ -29,6 +29,12 @@ from apifuzz.state_tracker import StateStore
 from conftest import json_response, minimal_spec_doc
 
 
+def domain_for(sampler_set, name, location=None):
+    if location is not None and f"{location}:{name}" in sampler_set.per_parameter:
+        return sampler_set.per_parameter[f"{location}:{name}"]
+    return sampler_set.per_parameter[name]
+
+
 def _mix(**kwargs):
     base = {"valid_random": 0.0, "from_state": 0.0, "boundary": 0.0,
             "invalid_typed": 0.0}
@@ -58,22 +64,22 @@ def put_get_model():
 
 def test_reference_domain_for_author_id(bookshop_ir, bookshop_model,
                                         bookshop_sampling):
-    domain = bookshop_sampling.sampler_set("POST /books").domain_for("authorId")
+    domain = domain_for(bookshop_sampling.sampler_set("POST /books"), "authorId")
     assert domain.kind == KIND_REFERENCE
     assert domain.target_resource == "author"
     assert not domain.many
 
 
 def test_reference_domain_for_book_ids_is_many(bookshop_sampling):
-    domain = bookshop_sampling.sampler_set("POST /orders").domain_for("bookIds")
+    domain = domain_for(bookshop_sampling.sampler_set("POST /orders"), "bookIds")
     assert domain.kind == KIND_REFERENCE
     assert domain.target_resource == "book"
     assert domain.many
 
 
 def test_item_path_parameter_references_own_resource(bookshop_sampling):
-    domain = bookshop_sampling.sampler_set(
-        "GET /books/{bookId}").domain_for("bookId")
+    domain = domain_for(bookshop_sampling.sampler_set(
+        "GET /books/{bookId}"), "bookId")
     assert domain.kind == KIND_REFERENCE
     assert domain.target_resource == "book"
 
@@ -84,7 +90,7 @@ def test_every_operation_and_parameter_has_a_domain(bookshop_ir,
     for op in bookshop_ir.operations:
         sampler = bookshop_sampling.sampler_set(op.operation_id)
         for param in op.parameters:
-            assert sampler.domain_for(param.name, param.location) is not None
+            assert domain_for(sampler, param.name, param.location) is not None
 
 
 def test_mixture_weights_normalized(bookshop_sampling):
@@ -107,7 +113,7 @@ def test_integer_range_with_bounds_yields_boundary_values():
     }))
     model = infer_model(ir)
     spec = build_sampling_spec(ir, model, mixture=_mix(boundary=1.0))
-    domain = spec.sampler_set("GET /x").domain_for("count")
+    domain = domain_for(spec.sampler_set("GET /x"), "count")
     assert domain.kind == KIND_INT
     rng = Random(0)
     seen = {sample_value(domain, None, rng).value for _ in range(50)}
@@ -119,7 +125,7 @@ def test_integer_range_with_bounds_yields_boundary_values():
 def test_enum_domain_samples_exactly_declared_values(bookshop_ir, bookshop_model):
     spec = build_sampling_spec(bookshop_ir, bookshop_model,
                                mixture=_mix(valid_random=1.0))
-    domain = spec.sampler_set("POST /books").domain_for("format")
+    domain = domain_for(spec.sampler_set("POST /books"), "format")
     assert domain.kind == KIND_ENUM
     rng = Random(1)
     seen = {sample_value(domain, None, rng).value for _ in range(40)}
@@ -323,7 +329,7 @@ def test_path_parameters_never_sample_empty_invalid(bookshop_ir, bookshop_model)
     spec = build_sampling_spec(bookshop_ir, bookshop_model,
                                mixture=_mix(invalid_typed=1.0))
     rng = Random(23)
-    domain = spec.sampler_set("GET /books/{bookId}").domain_for("bookId")
+    domain = domain_for(spec.sampler_set("GET /books/{bookId}"), "bookId")
     for _ in range(100):
         sampled = sample_value(domain, StateStore(), rng)
         assert sampled.value != ""
@@ -336,8 +342,8 @@ def test_reference_from_state_picks_live_id(bookshop_sampling):
     store.upsert_live("customer", "c2")
     store.upsert_live("customer", "c3")
     store.mark_deleted("customer", "c3")
-    domain = bookshop_sampling.sampler_set(
-        "GET /customers/{customerId}").domain_for("customerId")
+    domain = domain_for(bookshop_sampling.sampler_set(
+        "GET /customers/{customerId}"), "customerId")
     rng = Random(2)
     seen = set()
     for _ in range(60):
@@ -351,7 +357,7 @@ def test_reference_empty_state_falls_back_to_synthesized(bookshop_ir,
                                                          bookshop_model):
     spec = build_sampling_spec(bookshop_ir, bookshop_model,
                                mixture=_mix(from_state=1.0))
-    domain = spec.sampler_set("POST /books").domain_for("authorId")
+    domain = domain_for(spec.sampler_set("POST /books"), "authorId")
     rng = Random(3)
     sampled = sample_value(domain, StateStore(), rng)
     assert sampled.tag == TAG_VALID  # fallback keeps the stream going
@@ -363,7 +369,7 @@ def test_many_reference_from_state_nonempty_subset(bookshop_sampling):
     store = StateStore()
     for i in range(1, 6):
         store.upsert_live("book", f"b{i}")
-    domain = bookshop_sampling.sampler_set("POST /orders").domain_for("bookIds")
+    domain = domain_for(bookshop_sampling.sampler_set("POST /orders"), "bookIds")
     rng = Random(9)
     for _ in range(50):
         sampled = sample_value(domain, store, rng)

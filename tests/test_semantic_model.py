@@ -19,9 +19,13 @@ from apifuzz.semantic_model import (
 from apifuzz.spec_ingest import load_spec
 from apifuzz.trace_recreate import _id_key_predicate
 
-from conftest import json_response, minimal_spec_doc
+from conftest import edge_set, json_response, minimal_spec_doc
 
 GOLDEN_EDGES = {("book", "author"), ("order", "customer"), ("order", "book")}
+
+
+def binding_for(model, operation_id):
+    return next(b for b in model.bindings if b.operation_id == operation_id)
 
 
 def test_match_names_is_part_of_the_model_surface():
@@ -33,7 +37,7 @@ def test_match_names_is_part_of_the_model_surface():
 # --- inference ----------------------------------------------------------------
 
 def test_bookshop_edges_are_exactly_the_golden_set(bookshop_model):
-    assert bookshop_model.edge_set() == GOLDEN_EDGES
+    assert edge_set(bookshop_model) == GOLDEN_EDGES
     by_pair = {(e.dependent, e.prerequisite): e for e in bookshop_model.edges}
     assert by_pair[("book", "author")].via_parameter == "authorId"
     assert by_pair[("order", "customer")].via_parameter == "customerId"
@@ -173,7 +177,7 @@ def test_user_added_edge_is_tagged_user_edited(bookshop_ir, bookshop_model):
                          "via_parameter": "customerId", "confidence": 0.9,
                          "provenance": "inferred"})
     loaded = load_model(json.dumps(doc), bookshop_ir)
-    assert ("book", "customer") in loaded.edge_set()
+    assert ("book", "customer") in edge_set(loaded)
     assert loaded.provenance["edge:book->customer:customerId"] == "user-edited"
     # untouched edges stay inferred
     assert loaded.provenance["edge:book->author:authorId"] == "inferred"
@@ -185,7 +189,7 @@ def test_reclassified_crud_kind_is_user_edited(bookshop_ir, bookshop_model):
         if entry["operation"] == "PUT /books/{bookId}":
             entry["crud_kind"] = "other"
     loaded = load_model(json.dumps(doc), bookshop_ir)
-    assert loaded.binding_for("PUT /books/{bookId}").crud_kind == "other"
+    assert binding_for(loaded, "PUT /books/{bookId}").crud_kind == "other"
     assert loaded.provenance["binding:PUT /books/{bookId}"] == "user-edited"
 
 
@@ -194,7 +198,7 @@ def test_missing_bindings_are_restored_from_inference(bookshop_ir, bookshop_mode
     doc["bindings"] = [b for b in doc["bindings"]
                        if b["operation"] != "GET /books"]
     loaded = load_model(json.dumps(doc), bookshop_ir)
-    assert loaded.binding_for("GET /books").crud_kind == "read-list"
+    assert binding_for(loaded, "GET /books").crud_kind == "read-list"
     assert len(loaded.bindings) == len(bookshop_ir.operations)
 
 
@@ -253,13 +257,13 @@ def test_merge_overrides_adds_and_removes(bookshop_ir, bookshop_model):
         ],
     })
     merged = merge_overrides(bookshop_model, overrides, bookshop_ir)
-    assert ("book", "customer") in merged.edge_set()
-    assert ("order", "book") not in merged.edge_set()
-    assert merged.binding_for("GET /orders").crud_kind == "other"
+    assert ("book", "customer") in edge_set(merged)
+    assert ("order", "book") not in edge_set(merged)
+    assert binding_for(merged, "GET /orders").crud_kind == "other"
     assert merged.provenance["edge:book->customer:customerId"] == "user-edited"
     assert merged.provenance["binding:GET /orders"] == "user-edited"
     # base model untouched
-    assert ("order", "book") in bookshop_model.edge_set()
+    assert ("order", "book") in edge_set(bookshop_model)
 
 
 def test_merge_overrides_rejects_unknown_operation(bookshop_ir, bookshop_model):

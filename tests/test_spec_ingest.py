@@ -145,7 +145,7 @@ def test_multi_branch_oneof_picks_first_with_warning():
             {"oneOf": [{"type": "string"}, {"type": "integer"}]})}}},
     }))
     (op,) = ir.operations
-    schema = op.response_map()["200"].body_schema
+    schema = dict(op.responses)["200"].body_schema
     assert schema.kind == "string"
     assert any(w.rule_id == "composition-branch-chosen"
                for w in ir.load_warnings)
@@ -160,7 +160,7 @@ def test_allof_merges_object_branches():
                 {"type": "object", "properties": {"b": {"type": "integer"}}},
             ]})}}},
     }))
-    schema = ir.operations[0].response_map()["200"].body_schema
+    schema = dict(ir.operations[0].responses)["200"].body_schema
     assert set(schema.property_map()) == {"a", "b"}
     assert schema.required_fields == ("a",)
 
@@ -173,7 +173,7 @@ def test_schema_cycle_degrades_to_any_with_warning():
             "next": {"$ref": "#/components/schemas/Node"}}}},
     ))
     assert any(w.rule_id == "schema-cycle-degraded" for w in ir.load_warnings)
-    schema = ir.operations[0].response_map()["200"].body_schema
+    schema = dict(ir.operations[0].responses)["200"].body_schema
     assert schema.property_map()["next"].kind == "any"
 
 

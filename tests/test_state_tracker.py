@@ -260,7 +260,7 @@ def test_read_live_id_expects_2xx():
     plan = make_plan("read", path_params={"customerId": "c1"},
                      tags={"customerId": "from-state"},
                      refs={"customerId": ("customer", ("c1",))})
-    pred = predict_status(plan, store, "sequential")
+    pred = predict_status(plan, store)
     assert pred.expected_classes == frozenset({"2XX"})
     assert pred.basis == "exact-state"
     assert pred.matches(200) and not pred.matches(404)
@@ -274,7 +274,7 @@ def test_read_missing_or_deleted_expects_404(store):
     plan = make_plan("read", path_params={"customerId": "c1"},
                      tags={"customerId": "valid-random"},
                      refs={"customerId": ("customer", ("c1",))})
-    pred = predict_status(plan, store, "sequential")
+    pred = predict_status(plan, store)
     assert pred.expected_classes == frozenset({"404"})
     # observed 500 must be flagged; observed 200 on a deleted id must be flagged
     assert not pred.matches(500)
@@ -285,7 +285,7 @@ def test_invalid_path_parameter_expects_400():
     plan = make_plan("delete", path_params={"customerId": "!!!"},
                      tags={"customerId": "invalid-typed"},
                      refs={"customerId": ("customer", ("!!!",))})
-    pred = predict_status(plan, _store_with(live=["c1"]), "sequential")
+    pred = predict_status(plan, _store_with(live=["c1"]))
     assert pred.expected_classes == frozenset({"400"})
     assert not pred.matches(204)  # a 2XX answer is a semantic violation
 
@@ -296,7 +296,7 @@ def test_create_with_live_prerequisites_expects_2xx():
     plan = make_plan("create", resource="book", target=None,
                      refs={"authorId": ("author", ("a1",))},
                      tags={"authorId": "from-state"})
-    pred = predict_status(plan, store, "sequential")
+    pred = predict_status(plan, store)
     assert pred.expected_classes == frozenset({"2XX"})
 
 
@@ -304,7 +304,7 @@ def test_create_with_missing_prerequisite_expects_404():
     plan = make_plan("create", resource="book", target=None,
                      refs={"authorId": ("author", ("z123",))},
                      tags={"authorId": "valid-random"})
-    pred = predict_status(plan, StateStore(), "sequential")
+    pred = predict_status(plan, StateStore())
     assert pred.expected_classes == frozenset({"404"})
 
 
@@ -312,7 +312,7 @@ def test_create_with_invalid_body_field_expects_400():
     plan = make_plan("create", resource="book", target=None,
                      refs={"authorId": ("author", ("a1",))},
                      tags={"title": "invalid-typed", "authorId": "from-state"})
-    pred = predict_status(plan, StateStore(), "sequential")
+    pred = predict_status(plan, StateStore())
     assert pred.expected_classes == frozenset({"400"})
 
 
@@ -321,7 +321,7 @@ def test_update_live_with_invalid_body_expects_400():
     plan = make_plan("update", path_params={"customerId": "c1"},
                      tags={"customerId": "from-state", "name": "invalid-typed"},
                      refs={"customerId": ("customer", ("c1",))})
-    pred = predict_status(plan, store, "sequential")
+    pred = predict_status(plan, store)
     assert pred.expected_classes == frozenset({"400"})
 
 
@@ -330,20 +330,20 @@ def test_concurrent_mode_widens_live_predictions_to_stale_possible():
     plan = make_plan("read", path_params={"customerId": "c1"},
                      tags={"customerId": "from-state"},
                      refs={"customerId": ("customer", ("c1",))})
-    pred = predict_status(plan, store, "concurrent")
+    pred = predict_status(plan, store, concurrent=True)
     assert pred.expected_classes == frozenset({"2XX", "404"})
     assert pred.basis == "stale-possible"
 
 
 def test_concurrent_mode_keeps_state_free_predictions_exact():
     plan = make_plan("read-list", target=None)
-    pred = predict_status(plan, StateStore(), "concurrent")
+    pred = predict_status(plan, StateStore(), concurrent=True)
     assert pred.basis == "exact-state"
     assert pred.expected_classes == frozenset({"2XX"})
 
 
 def test_other_crud_accepts_declared_non_5xx():
     plan = make_plan("other", target=None, declared=("202", "400", "5XX"))
-    pred = predict_status(plan, StateStore(), "sequential")
+    pred = predict_status(plan, StateStore())
     assert pred.expected_classes == frozenset({"202", "400"})
     assert pred.matches(202) and not pred.matches(500)

@@ -159,7 +159,7 @@ def test_oversized_bodies_are_truncated():
                                 headers={"Content-Type": "application/json"},
                                 body=big, json_body=json.loads(big))
     ev = make_trace_event(1, plan_dict("GET /books", "GET", "/books"),
-                          result, [], body_limit=4096)
+                          result, [])
     assert ev.body_json["__truncated__"] is True
     assert ev.body_json["bytes"] == len(big)
 
@@ -168,6 +168,58 @@ def test_non_utf8_bodies_are_base64():
     result = HttpExchangeResult(status=200, headers={}, body=b"\xff\xfe\x01")
     ev = make_trace_event(1, plan_dict("GET /x", "GET", "/x"), result, [])
     assert ev.body_b64 is not None and ev.body_json is None
+
+
+HEADER_KEYS = ("resource", "crud_kind", "resource_id_fields",
+               "declared_status_patterns")
+
+
+def _with_header_keys(plan, model):
+    """``plan`` in the older trace form, which repeats four header facts."""
+    binding = next(b for b in model.bindings
+                   if b.operation_id == plan["operation"])
+    try:
+        id_fields = model.resource(binding.resource).id_field_names
+    except KeyError:
+        id_fields = ()
+    return {**plan, "resource": binding.resource,
+            "crud_kind": binding.crud_kind,
+            "resource_id_fields": list(id_fields),
+            "declared_status_patterns": [
+                p for p, _ in model.spec.operation(plan["operation"]).responses]}
+
+
+def test_events_leave_out_what_the_header_gives(tmp_path, bookshop_ir,
+                                                bookshop_model):
+    """A seeded run's events carry none of the keys that follow from the
+    operation and the header; a trace that still carries them yields the
+    same script and predicate."""
+    sampling = build_sampling_spec(bookshop_ir, bookshop_model)
+    target = InProcessTarget(BookshopApp(toggles=["delete-customer-500"]))
+    try:
+        fuzzed = run(RunConfig(master_seed=1, max_requests=2000),
+                     bookshop_model, sampling, target=target)
+    finally:
+        target.close()
+    assert fuzzed.stop_reason == "error-detected"
+    _, events = read_trace(fuzzed.trace_ref)
+    os.unlink(fuzzed.trace_ref)
+    assert not any(key in e.plan for e in events for key in HEADER_KEYS)
+
+    path = str(tmp_path / "older.jsonl")
+    sink = TraceSink.to_path(path, {})
+    for e in events:
+        sink.append(TraceEvent.from_dict(
+            {**e.to_dict(), "plan": _with_header_keys(e.plan, bookshop_model)}))
+    sink.close()
+    _, older = read_trace(path)
+    assert all(key in e.plan for e in older for key in HEADER_KEYS)
+
+    assert expected_failure_for(older[-1], bookshop_ir) == \
+        expected_failure_for(events[-1], bookshop_ir)
+    script = bind_symbols(events, bookshop_model)
+    assert script.bindings
+    assert bind_symbols(older, bookshop_model).to_json() == script.to_json()
 
 
 # --- json path walking ----------------------------------------------------------------
@@ -322,8 +374,54 @@ def test_schema_predicate_takes_the_response_the_checker_matched():
                                             constraint="required")])
     predicate = expected_failure_for(failing, ir)
     assert predicate["schema"] == _schema_jsonable(
-        ir.operation("GET /things/{thingId}").response_map()["200"].body_schema)
+        dict(ir.operation("GET /things/{thingId}").responses)["200"].body_schema)
     assert predicate["schema"]["required_fields"] == ["thingId"]
+
+
+class _FixedStatusApp:
+    """Answers every request with one status and an empty body."""
+
+    def __init__(self, status):
+        self.status = status
+
+    def handle(self, method, path, query="", headers=None, body=b""):
+        return self.status, {}, b""
+
+
+def test_undefined_status_predicate_comes_from_the_finding():
+    """An undeclared status replays from the declared patterns the checker
+    recorded, whether or not the plan carries them."""
+    ir = load_spec(minimal_spec_doc({"/things": {"get": {"responses": {
+        "200": json_response({"type": "array"}),
+        "4XX": {"description": "rejected"}}}}}))
+    model = infer_model(ir)
+    target = InProcessTarget(_FixedStatusApp(302))
+    try:
+        fuzzed = run(RunConfig(master_seed=1, max_requests=5), model,
+                     build_sampling_spec(ir, model), target=target)
+    finally:
+        target.close()
+    _, events = read_trace(fuzzed.trace_ref)
+    os.unlink(fuzzed.trace_ref)
+    failing = events[-1]
+    assert failing.status == 302
+    assert "declared_status_patterns" not in failing.plan
+
+    expected = {"kind": "undefined-status", "status_not_in": ["200", "4XX"]}
+    assert expected_failure_for(failing, ir) == expected
+    older = TraceEvent.from_dict({**failing.to_dict(),
+                                  "plan": _with_header_keys(failing.plan, model)})
+    assert expected_failure_for(older, ir) == expected
+
+    script = bind_symbols([failing], model)
+    assert script.max_in_flight == 1
+    for status, outcome in ((302, "reproduced"), (200, "not-reproduced"),
+                            (404, "not-reproduced")):
+        target = InProcessTarget(_FixedStatusApp(status))
+        try:
+            assert replay(script, target).outcome == outcome, status
+        finally:
+            target.close()
 
 
 # --- replay -----------------------------------------------------------------------------
@@ -832,7 +930,7 @@ def test_minimize_flaky_failure_raises_not_reproducible(bookshop_model):
         return False
 
     with pytest.raises(NotReproducible):
-        minimize(events, 1, never_reproduces, initial_attempts=3)
+        minimize(events, 1, never_reproduces)
     assert len(calls) == 3  # 0/3 replays of the full prefix
 
 
