@@ -51,6 +51,7 @@ from .trace_recreate import (
     DEFAULT_ORACLE_BUDGET,
     NotReproducible,
     RecreateScript,
+    SinkWriteError,
     SymbolResolutionFailure,
     TraceSink,
     bind_symbols,
@@ -202,6 +203,7 @@ def cmd_fuzz(args) -> int:
                   f"({event.error_findings} errors), "
                   f"in flight: {event.in_flight}", flush=True)
 
+    result = None
     try:
         result = run(config, model, sampling_spec, target=target,
                      trace_sink=sink, progress=progress)
@@ -209,7 +211,12 @@ def cmd_fuzz(args) -> int:
         print(f"error: endpoint unreachable: {exc}", file=sys.stderr)
         return 2
     finally:
-        sink.close()
+        try:
+            sink.close()
+        except SinkWriteError as exc:
+            print(f"error: trace sink failed: {exc}", file=sys.stderr)
+            if result is not None:
+                result.notes.append(f"trace sink failed: {exc}")
 
     report = {"run": result.to_dict(), "trace": trace_path}
     report_path = args.report or "apifuzz-report.json"

@@ -62,7 +62,12 @@ from .state_tracker import (
     apply_effect,
     predict_status,
 )
-from .trace_recreate import SinkWriteError, TraceSink, make_trace_event
+from .trace_recreate import (
+    SinkWriteError,
+    TraceSink,
+    _id_key_predicate,
+    make_trace_event,
+)
 from random import Random
 
 
@@ -76,9 +81,11 @@ DEFAULT_WARMUP = 20
 @dataclass
 class RequestPlan:
     """One filled request.  Its wire form, as traced, leaves out the
-    binding's resource and CRUD kind, ``resource_id_fields`` and
-    ``declared_status_patterns``: each follows from ``operation`` and the
-    trace header's model and spec IR."""
+    binding's resource and CRUD kind, ``resource_id_fields``,
+    ``declared_status_patterns``, the method, the path template and the
+    concrete URL: each follows from ``operation``, the trace header's model
+    and spec IR, and ``render_url``.  It also leaves out empty mappings and
+    an unset ``target_id_param``."""
     binding: OperationBinding
     method: str
     path_template: str
@@ -96,22 +103,26 @@ class RequestPlan:
     declared_status_patterns: tuple[str, ...] = ()
 
     def to_wire_dict(self) -> dict:
-        return {
-            "plan_id": self.plan_id,
-            "operation": self.binding.operation_id,
-            "method": self.method,
-            "path_template": self.path_template,
-            "concrete_url": self.concrete_url,
-            "headers": self.headers,
-            "body": self.body,
-            "path_params": self.path_param_values,
-            "query": self.query_values,
-            "value_tags": self.value_tags,
-            "violated": self.violated,
-            "reference_values": {k: [res, list(ids)]
-                                 for k, (res, ids) in self.reference_values.items()},
-            "target_id_param": self.target_id_param,
-        }
+        wire: dict[str, Any] = {"plan_id": self.plan_id,
+                                "operation": self.binding.operation_id,
+                                "body": self.body}
+        if self.headers:
+            wire["headers"] = self.headers
+        if self.path_param_values:
+            wire["path_params"] = self.path_param_values
+        if self.query_values:
+            wire["query"] = self.query_values
+        if self.value_tags:
+            wire["value_tags"] = self.value_tags
+        if self.violated:
+            wire["violated"] = self.violated
+        if self.reference_values:
+            wire["reference_values"] = {
+                k: [res, list(ids)]
+                for k, (res, ids) in self.reference_values.items()}
+        if self.target_id_param is not None:
+            wire["target_id_param"] = self.target_id_param
+        return wire
 
 
 @dataclass
@@ -312,6 +323,9 @@ class _RunState:
         self.store = StateStore(config.store_cap)
         self.warmup = _warmup_bindings(self.model)
         self.ops_by_id = model.spec.operations_by_id()
+        # The rule ``minimize`` binds with: the header's model at the run's
+        # threshold.
+        self.is_id_key = _id_key_predicate(model, config.match_threshold)
 
         if target is None:
             if not config.endpoint:
@@ -381,7 +395,8 @@ class _RunState:
                                   f"(plan {plan.plan_id}): {exc}")
         event = make_trace_event(
             event_id, plan.to_wire_dict(), result, findings, prediction,
-            dispatch_epoch=dispatch_epoch, completion_epoch=self.store.epoch)
+            dispatch_epoch=dispatch_epoch, completion_epoch=self.store.epoch,
+            is_id_key=self.is_id_key)
         try:
             self.sink.append(event)
         except SinkWriteError as exc:
@@ -415,7 +430,10 @@ class _RunState:
         self.counters["requests_per_second"] = round(
             self.counters["requests_sent"] / elapsed, 2) if elapsed > 0 else 0.0
         if self.own_sink:
-            self.sink.close()
+            try:
+                self.sink.close()
+            except SinkWriteError as exc:
+                self.notes.append(f"trace sink failed: {exc}")
         verdict = "failed" if self.counters["error_findings"] > 0 else "passed"
         return RunResult(verdict=verdict, stop_reason=stop_reason,
                          counters=self.counters, trace_ref=self.sink.path,

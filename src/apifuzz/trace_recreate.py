@@ -1,12 +1,14 @@
 """Trace persistence, failure minimization, and re-runnable recreate scripts.
 
 Every exchange of a run is appended to a JSON Lines trace (one version header
-line, then one event per line).  When a run fails, the failing prefix is
-reduced with a delta-debugging loop against a replay oracle, producer/consumer
-data flows are lifted into symbolic variables (so replays survive a SUT that
-assigns different ids), and the result is emitted as a script that either
-reproduces the original finding (exit 0 in the CLI), does not (exit 1), or
-cannot be evaluated (exit 2).
+line, then one event per line).  An event keeps what replay needs: one with a
+finding keeps its exchange whole, and otherwise a response keeps only the ids
+it produced.  When a run fails, the failing prefix is reduced with a
+delta-debugging loop against a replay oracle, producer/consumer data flows are
+lifted into symbolic variables (so replays survive a SUT that assigns
+different ids), and the result is emitted as a script that either reproduces
+the original finding (exit 0 in the CLI), does not (exit 1), or cannot be
+evaluated (exit 2).
 
 Replay is one loop that sends the steps in order and binds a producer's
 symbols when its answer is collected.  A script's window (``max_in_flight``,
@@ -32,6 +34,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,15 +52,24 @@ from .spec_ingest import (
     _schema_jsonable,
 )
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 SCRIPT_VERSION = 1
 
 DEFAULT_ORACLE_BUDGET = 500
 DEFAULT_RACE_ATTEMPTS = 20
 # Replays of the full prefix before a finding counts as not reproducible.
 INITIAL_ATTEMPTS = 3
-# Bodies above this many bytes are traced as a size and digest.
+# Bodies above this many bytes are traced as a size and a digest, never as ids.
 TRACE_BODY_LIMIT = 4096
+# The sink flushes its file when this many seconds have passed since the last
+# flush, and on close.
+FLUSH_INTERVAL = 1.0
+# Distinct response keys an id predicate remembers its answer for.
+ID_KEY_MEMO = 4096
+
+# One compact line per record.  A record is a tree of parsed JSON and fresh
+# dicts, never a cycle, so the encoder skips the cycle check.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 class SinkWriteError(Exception):
@@ -83,6 +95,7 @@ class TraceEvent:
     body_json: Any = None
     body_text: str | None = None
     body_b64: str | None = None
+    body_digest: str | None = None
     transport_error: str | None = None
     latency: float = 0.0
     findings: list[Finding] = field(default_factory=list)
@@ -95,18 +108,22 @@ class TraceEvent:
             "event_id": self.event_id,
             "plan": self.plan,
             "status": self.status,
-            "headers": self.headers,
             "latency": round(self.latency, 6),
-            "findings": [f.to_dict() for f in self.findings],
             "dispatch_epoch": self.dispatch_epoch,
             "completion_epoch": self.completion_epoch,
         }
+        if self.headers:
+            out["headers"] = self.headers
+        if self.findings:
+            out["findings"] = [f.to_dict() for f in self.findings]
         if self.body_json is not None:
             out["body_json"] = self.body_json
         if self.body_text is not None:
             out["body_text"] = self.body_text
         if self.body_b64 is not None:
             out["body_b64"] = self.body_b64
+        if self.body_digest is not None:
+            out["body_digest"] = self.body_digest
         if self.transport_error is not None:
             out["transport_error"] = self.transport_error
         if self.prediction is not None:
@@ -123,6 +140,7 @@ class TraceEvent:
             body_json=data.get("body_json"),
             body_text=data.get("body_text"),
             body_b64=data.get("body_b64"),
+            body_digest=data.get("body_digest"),
             transport_error=data.get("transport_error"),
             latency=data.get("latency", 0.0),
             findings=[Finding.from_dict(f) for f in data.get("findings", [])],
@@ -134,51 +152,133 @@ class TraceEvent:
 
 def make_trace_event(event_id: int, plan_wire: dict, result, findings,
                      prediction=None, dispatch_epoch: int = 0,
-                     completion_epoch: int = 0) -> TraceEvent:
+                     completion_epoch: int = 0,
+                     is_id_key: Callable[[str], bool] | None = None
+                     ) -> TraceEvent:
     """Build the persisted form of one exchange.
 
-    Bodies above :data:`TRACE_BODY_LIMIT` bytes are replaced by a size+digest
-    marker; non-UTF-8 bodies are base64-encoded.
+    With ``is_id_key`` (the run's :func:`_id_key_predicate`), an event with
+    no finding keeps only what replay reads: of a 2XX JSON body the ids
+    :func:`bind_symbols` registers (:func:`_project_ids`), of any other
+    body nothing, and in both cases a ``body_digest``.  It leaves out the
+    response headers and the prediction's rationale.  An event with a
+    finding, or built without ``is_id_key``, is kept whole, and then a
+    non-UTF-8 body is base64-encoded.  Either way a body above
+    :data:`TRACE_BODY_LIMIT` bytes, judged before projecting, is replaced by
+    a size marker.
     """
-    body_json = body_text = body_b64 = None
-    if result.body:
-        if len(result.body) > TRACE_BODY_LIMIT:
-            body_json = {"__truncated__": True,
-                         "sha256": hashlib.sha256(result.body).hexdigest(),
-                         "bytes": len(result.body)}
+    whole = is_id_key is None or bool(findings)
+    body = result.body
+    body_json = body_text = body_b64 = body_digest = None
+    if body:
+        if not whole:
+            body_digest = hashlib.blake2b(body, digest_size=8).hexdigest()
+        if len(body) > TRACE_BODY_LIMIT:
+            body_json = {"__truncated__": True, "bytes": len(body)}
+            if whole:
+                body_json["sha256"] = hashlib.sha256(body).hexdigest()
+        elif not whole:
+            if result.json_body is not None and 200 <= result.status < 300:
+                body_json = _project_ids(result.json_body, is_id_key)
         elif result.json_body is not None:
             body_json = result.json_body
         else:
             try:
-                body_text = result.body.decode("utf-8")
+                body_text = body.decode("utf-8")
             except UnicodeDecodeError:
-                body_b64 = base64.b64encode(result.body).decode("ascii")
+                body_b64 = base64.b64encode(body).decode("ascii")
     prediction_dict = None
     if prediction is not None:
         prediction_dict = {"expected": sorted(prediction.expected_classes),
-                           "basis": prediction.basis,
-                           "rationale": prediction.rationale}
+                           "basis": prediction.basis}
+        if whole:
+            prediction_dict["rationale"] = prediction.rationale
     return TraceEvent(
         event_id=event_id, plan=plan_wire, status=result.status,
-        headers=dict(result.headers), body_json=body_json,
-        body_text=body_text, body_b64=body_b64,
+        headers=dict(result.headers) if whole else {}, body_json=body_json,
+        body_text=body_text, body_b64=body_b64, body_digest=body_digest,
         transport_error=result.transport_error, latency=result.latency,
         findings=list(findings), prediction=prediction_dict,
         dispatch_epoch=dispatch_epoch, completion_epoch=completion_epoch)
 
 
+def _project_ids(body: Any, is_id_key: Callable[[str], bool]) -> Any:
+    """The part of a JSON body that :func:`_iter_produced_ids` reads.
+
+    It keeps each id that function yields at the same path: a dict keeps
+    only the keys that lead to one, and a list keeps its length, with
+    ``None`` for an item that holds none.  ``None`` when the body holds no
+    id.  Types are compared exactly, which for parsed JSON is what the
+    ``isinstance`` tests there decide (a ``bool`` is not an ``int``).
+    """
+    kind = type(body)
+    if kind is list:
+        return _project_list(body, False, is_id_key)
+    if kind is not dict:
+        return None
+    out = None
+    for key, value in body.items():
+        kind = type(value)
+        if kind is str or kind is int:
+            if not is_id_key(key):
+                continue
+        elif kind is list:
+            value = _project_list(value, is_id_key(key), is_id_key)
+            if value is None:
+                continue
+        elif kind is dict:
+            value = _project_ids(value, is_id_key)
+            if value is None:
+                continue
+        else:
+            continue
+        if out is None:
+            out = {}
+        out[key] = value
+    return out
+
+
+def _project_list(items: list, ids_here: bool,
+                  is_id_key: Callable[[str], bool]) -> list | None:
+    """:func:`_project_ids` of a list; ``ids_here`` when the key the list
+    sits under names ids, so its string and integer items are ids."""
+    out = None
+    for i, item in enumerate(items):
+        kind = type(item)
+        if kind is str or kind is int:
+            if not ids_here:
+                continue
+        else:
+            item = _project_ids(item, is_id_key)
+            if item is None:
+                continue
+        if out is None:
+            out = [None] * len(items)
+        out[i] = item
+    return out
+
+
 class TraceSink:
-    """Append-only JSON Lines writer; the header line is written on open."""
+    """Append-only JSON Lines writer; the header line is written and
+    flushed on open.
+
+    Each event is one compact line and one ``write``.  An append flushes
+    the file once :data:`FLUSH_INTERVAL` seconds have passed since the last
+    flush, and :meth:`close` flushes it, so a killed run loses at most the
+    events appended within that interval, or what the file object buffers;
+    :func:`read_trace` skips a torn last line.
+    """
 
     def __init__(self, fh, path: str | None, header: dict):
         self._fh = fh
         self.path = path
         header = {"trace_version": TRACE_VERSION, **header}
         try:
-            self._fh.write(json.dumps(header) + "\n")
+            self._fh.write(_COMPACT.encode(header) + "\n")
             self._fh.flush()
         except OSError as exc:
             raise SinkWriteError(f"cannot write trace header: {exc}") from exc
+        self._flushed = time.monotonic()
 
     @classmethod
     def to_path(cls, path: str, header: dict | None = None) -> "TraceSink":
@@ -190,34 +290,51 @@ class TraceSink:
 
     def append(self, event: TraceEvent) -> None:
         try:
-            self._fh.write(json.dumps(event.to_dict()) + "\n")
-            self._fh.flush()
+            self._fh.write(_COMPACT.encode(event.to_dict()) + "\n")
+            now = time.monotonic()
+            if now - self._flushed >= FLUSH_INTERVAL:
+                self._fh.flush()
+                self._flushed = now
         except (OSError, ValueError) as exc:
             raise SinkWriteError(f"cannot append event {event.event_id}: {exc}") \
                 from exc
 
     def close(self) -> None:
+        """Flush and close the file; a failed flush, which loses the
+        unflushed tail, raises :class:`SinkWriteError`."""
         try:
-            self._fh.close()
-        except OSError:
-            pass
+            self._fh.flush()
+        except (OSError, ValueError) as exc:
+            raise SinkWriteError(f"cannot flush the trace tail: {exc}") from exc
+        finally:
+            try:
+                self._fh.close()
+            except OSError:
+                pass
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
-    """Load a trace file: (header, events).
+    """Load a trace file of version 1 or 2: (header, events).
 
-    A last line without its newline that does not parse was torn by an
-    interrupted write; it is skipped with a warning.  A malformed line
-    anywhere else raises :class:`ValueError`.
+    A version-2 plan leaves out ``method`` and ``path_template``; they are
+    filled in from the operation in the header's spec IR, so a loaded plan
+    names its request line at either version.  A last line without its
+    newline that does not parse was torn by an interrupted write; it is
+    skipped with a warning.  A malformed line anywhere else raises
+    :class:`ValueError`, as does any other version.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"trace file {path} is empty")
         header = json.loads(header_line)
-        if header.get("trace_version") != TRACE_VERSION:
+        if header.get("trace_version") not in (1, TRACE_VERSION):
             raise ValueError(
                 f"unsupported trace_version {header.get('trace_version')!r}")
+        request_lines = {
+            f"{op['method']} {op['path_template']}":
+                (op["method"], op["path_template"])
+            for op in header.get("spec_ir", {}).get("operations", ())}
         events = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -231,6 +348,11 @@ def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
                 warnings.warn(f"trace file {path}: skipped torn last line "
                               f"{lineno}", stacklevel=2)
                 break
+            plan = record["plan"]
+            if "method" not in plan:
+                request_line = request_lines.get(plan.get("operation"))
+                if request_line is not None:
+                    plan["method"], plan["path_template"] = request_line
             events.append(TraceEvent.from_dict(record))
     return header, events
 
@@ -322,9 +444,10 @@ class _ProducerRegistry:
 def _id_key_predicate(model: SemanticModel,
                       threshold: float) -> Callable[[str], bool]:
     """Whether a response key holds an id: a bare ``id``, or a name that
-    matches some resource's id fields.  Memoized for the caller's lifetime,
-    so one ``bind_symbols`` call judges each distinct key once."""
-    @functools.cache
+    matches some resource's id fields.  Memoized for the predicate's
+    lifetime, up to :data:`ID_KEY_MEMO` keys, since the server picks them;
+    a run builds one for its trace, and each ``bind_symbols`` call one."""
+    @functools.lru_cache(maxsize=ID_KEY_MEMO)
     def is_id_key(key: str) -> bool:
         return tokenize(key) == ["id"] \
             or model.id_resource(key, threshold) is not None
@@ -418,7 +541,9 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
     success response that completed before the request was generated is bound
     to that producer (the latest one when several produced the same value).
     Remaining literals stay concrete.  Script steps follow dispatch order
-    (plan ids), so concurrent windows replay the way they were issued.  When
+    (plan ids), so concurrent windows replay the way they were issued, and
+    take their method and path template from the operation in the model's
+    spec.  When
     ``expected_failure`` is omitted it is derived from the last event's first
     error-grade finding.  A window (``max_in_flight``) above 1 replays
     concurrently, and then ``attempts`` defaults to
@@ -446,21 +571,23 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
         key=lambda e: (e.plan.get("plan_id", e.event_id), e.event_id))
     event_step = {e.event_id: i for i, e in enumerate(dispatch_order)}
 
+    operations = model.spec.operations_by_id()
     symbols: dict[tuple[int, str], str] = {}
     names_taken: dict[str, int] = {}
     consumers: dict[str, list] = {}
     steps: list[dict] = []
     for idx, event in enumerate(dispatch_order):
         plan = event.plan
+        op = operations[plan["operation"]]
         substitute = lambda value, where: _substitute(  # noqa: E731
             value, registry, event.event_id, event.dispatch_epoch,
             symbols, names_taken, consumers, where)
         steps.append({
             "step": idx,
             "source_event": event.event_id,
-            "operation": plan.get("operation"),
-            "method": plan["method"],
-            "path_template": plan["path_template"],
+            "operation": op.operation_id,
+            "method": op.method,
+            "path_template": op.path_template,
             "path_params": substitute(plan.get("path_params", {}), "path"),
             "query": substitute(plan.get("query", {}), "query"),
             "headers": plan.get("headers", {}),

@@ -57,3 +57,29 @@ def edge_set(model) -> set[tuple[str, str]]:
 def json_response(schema: dict, description: str = "ok") -> dict:
     return {"description": description,
             "content": {"application/json": {"schema": schema}}}
+
+
+class FlushFailsAfterHeader:
+    """A file whose every flush after the first (the trace header's) fails,
+    as on a full volume.  Writes go to ``inner`` when there is one."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.name = getattr(inner, "name", "x")
+        self.flushes = 0
+        self.closed = False
+
+    def write(self, data):
+        return self.inner.write(data) if self.inner else len(data)
+
+    def flush(self):
+        self.flushes += 1
+        if self.flushes > 1:
+            raise OSError(28, "No space left on device")
+        if self.inner:
+            self.inner.flush()
+
+    def close(self):
+        self.closed = True
+        if self.inner:
+            self.inner.close()

@@ -10,7 +10,7 @@ from apifuzz.bookshop.server import serve
 from apifuzz.cli import main
 from apifuzz.http_driver import NetworkTarget
 
-from conftest import minimal_spec_doc
+from conftest import FlushFailsAfterHeader, minimal_spec_doc
 
 
 @pytest.fixture
@@ -118,6 +118,26 @@ def test_fuzz_with_seeded_bug_exits_one_and_names_kind(spec_file, tmp_path):
         assert "server-error-5xx" in kinds
     finally:
         server.stop()
+
+
+def test_fuzz_reports_a_trace_tail_it_could_not_flush(
+        spec_file, clean_server, tmp_path, monkeypatch, capsys):
+    class FailingFlushSink(cli.TraceSink):
+        @classmethod
+        def to_path(cls, path, header=None):
+            return cls(FlushFailsAfterHeader(open(path, "w", encoding="utf-8")),
+                       path, header or {})
+
+    monkeypatch.setattr(cli, "TraceSink", FailingFlushSink)
+    report = str(tmp_path / "report.json")
+    run_cli("fuzz", spec_file, "--endpoint", clean_server.base_url,
+            "--max-requests", "5", "--seed", "3",
+            "--trace", str(tmp_path / "trace.jsonl"), "--report", report)
+    assert "cannot flush the trace tail" in capsys.readouterr().err
+    run_report = json.loads(open(report).read())["run"]
+    assert run_report["counters"]["requests_sent"] == 5
+    assert any("trace sink failed: cannot flush the trace tail" in note
+               for note in run_report["notes"])
 
 
 def test_fuzz_unreachable_endpoint_exits_two(spec_file, tmp_path):

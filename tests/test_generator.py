@@ -22,7 +22,7 @@ from apifuzz.sampling import (
 from apifuzz.semantic_model import infer_model
 from apifuzz.spec_ingest import load_spec
 from apifuzz.state_tracker import DEFAULT_STORE_CAP, StateStore
-from apifuzz.trace_recreate import TraceSink, read_trace
+from apifuzz.trace_recreate import TRACE_VERSION, TraceSink, read_trace
 from random import Random
 
 from conftest import json_response, minimal_spec_doc
@@ -233,7 +233,7 @@ def test_sequential_determinism_byte_identical(bookshop_ir):
 def test_trace_is_persisted_with_header(bookshop_ir):
     result = run_with(bookshop_ir=bookshop_ir, max_requests=20)
     header, events = read_trace(result.trace_ref)
-    assert header["trace_version"] == 1
+    assert header["trace_version"] == TRACE_VERSION
     assert "spec_ir" in header and "model" in header
     assert len(events) == 20
     assert [e.event_id for e in events] == list(range(1, 21))

@@ -21,6 +21,7 @@ from apifuzz.trace_recreate import (
     RecreateScript,
     SinkWriteError,
     SymbolResolutionFailure,
+    TRACE_VERSION,
     TraceEvent,
     TraceSink,
     bind_symbols,
@@ -83,7 +84,7 @@ def test_record_single_event(tmp_path):
     lines = open(path).read().splitlines()
     assert len(lines) == 2  # header + one record
     header = json.loads(lines[0])
-    assert header["trace_version"] == 1 and header["note"] == "test"
+    assert header["trace_version"] == TRACE_VERSION and header["note"] == "test"
 
 
 def test_record_thousand_events(tmp_path):
