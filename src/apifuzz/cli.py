@@ -191,7 +191,11 @@ def cmd_fuzz(args) -> int:
                                         config.match_threshold)
 
     trace_path = args.trace or "apifuzz-trace.jsonl"
-    sink = TraceSink.to_path(trace_path, trace_header(config, model))
+    try:
+        sink = TraceSink.to_path(trace_path, trace_header(config, model))
+    except SinkWriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     target = NetworkTarget(config.endpoint, _default_headers(),
                            verify=not args.insecure)
 

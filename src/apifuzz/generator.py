@@ -394,7 +394,7 @@ class _RunState:
                 self.notes.append(f"id extraction failed for {op_id} "
                                   f"(plan {plan.plan_id}): {exc}")
         event = make_trace_event(
-            event_id, plan.to_wire_dict(), result, findings, prediction,
+            event_id, plan.to_wire_dict(), result, findings,
             dispatch_epoch=dispatch_epoch, completion_epoch=self.store.epoch,
             is_id_key=self.is_id_key)
         try:

@@ -2,10 +2,16 @@
 
 Both targets return the same normalized :class:`HttpExchangeResult`, so the
 generation loop, checker, and trace never care which transport ran the
-request.  Transport failures (timeout, refused connection, protocol error)
-are data on the result, never exceptions, and exactly one of ``status`` /
-``transport_error`` is set.  One call makes at most one wire attempt; retry
-policy, if anyone ever wants one, belongs to the caller.
+request.  A target reports a request that got no HTTP answer (timeout,
+refused connection, protocol error) by raising :class:`TransportError`;
+:func:`execute` turns it into data on the result, and exactly one of
+``status`` / ``transport_error`` is set.  One call makes at most one wire
+attempt; retry policy, if anyone ever wants one, belongs to the caller.
+
+The network target keeps one persistent ``http.client`` connection per
+calling thread.  A connection whose exchange failed is dropped, and one the
+server closed while it sat idle is replaced before it is used, so a failed
+or late exchange never touches the next request.
 
 The in-process target runs the application's handler on one long-lived
 worker thread per calling thread, handed work through a pair of queues, so
@@ -22,16 +28,18 @@ run sent.
 
 from __future__ import annotations
 
+import http.client
 import json
 import queue
+import select
+import socket
+import ssl
 import threading
 import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Any
-from urllib.parse import quote, urlencode
-
-import requests
+from urllib.parse import quote, urlencode, urlsplit
 
 from .spec_ingest import media_type
 
@@ -40,6 +48,21 @@ TRANSPORT_REFUSED = "connection-refused"
 TRANSPORT_PROTOCOL = "protocol-error"
 
 DEFAULT_TIMEOUT = 30.0
+
+# What a request line leaves unescaped: the reserved characters, ``~`` and
+# ``%``, so an already quoted URL goes out unchanged and any other byte
+# (a space, a non-ASCII character) is percent-encoded as UTF-8.
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+class TransportError(Exception):
+    """A request got no HTTP answer.  ``kind`` is one of the ``TRANSPORT_*``
+    names, and ``str()`` of the error is the result's ``transport_error``:
+    the kind, followed for a protocol error by its detail."""
+
+    def __init__(self, kind: str, detail: str | None = None):
+        super().__init__(kind if detail is None else f"{kind}: {detail}")
+        self.kind = kind
 
 
 @dataclass
@@ -100,7 +123,11 @@ def render_url(path_template: str, path_values: dict[str, Any],
 
 
 class NetworkTarget:
-    """HTTP/1.1 over the wire; one pooled session per calling thread."""
+    """HTTP/1.1 over the wire; one kept-alive connection per calling thread.
+
+    ``verify`` decides whether an ``https`` endpoint's certificate and host
+    name are checked (against the system's trusted certificates).
+    """
 
     def __init__(self, base_url: str, default_headers: dict[str, str] | None = None,
                  verify: bool = True):
@@ -109,21 +136,68 @@ class NetworkTarget:
         self.verify = verify
         self._local = threading.local()
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
+    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+        parts = urlsplit(self.base_url)
+        if parts.scheme == "http":
+            conn = http.client.HTTPConnection(parts.hostname, parts.port,
+                                              timeout=timeout)
+        elif parts.scheme == "https":
+            context = ssl.create_default_context()
+            if not self.verify:
+                context.check_hostname = False
+                context.verify_mode = ssl.CERT_NONE
+            conn = http.client.HTTPSConnection(parts.hostname, parts.port,
+                                               timeout=timeout, context=context)
+        else:
+            raise ValueError(f"unsupported URL scheme in {self.base_url!r}")
+        conn.connect()
+        # A request's head and body are two writes; without this the body
+        # would wait for the server's delayed ACK of the head.
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Closes the socket once the connection is dropped with its thread
+        # or its target.
+        weakref.finalize(conn, conn.sock.close)
+        return conn
+
+    def _connection(self, timeout: float) -> http.client.HTTPConnection:
+        """This thread's connection, opened anew when there is none or the
+        server closed it (or sent something unasked) while it was idle."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            if conn.sock is not None and \
+                    not select.select([conn.sock], [], [], 0)[0]:
+                conn.sock.settimeout(timeout)
+                return conn
+            conn.close()
+        conn = self._local.conn = self._connect(timeout)
+        return conn
 
     def request(self, method: str, url_path: str, headers: dict[str, str],
                 body: bytes | None, timeout: float):
         merged = dict(self.default_headers)
         merged.update(headers)
-        response = self._session().request(
-            method, self.base_url + url_path, headers=merged, data=body,
-            timeout=timeout, verify=self.verify, allow_redirects=False)
-        return response.status_code, dict(response.headers), response.content
+        conn = None
+        try:
+            url = quote(urlsplit(self.base_url).path + url_path, safe=_URL_SAFE)
+            conn = self._connection(timeout)
+            conn.request(method, url, body=body, headers=merged)
+            response = conn.getresponse()
+            payload = response.read()
+        except BaseException as exc:
+            if conn is not None:  # whatever its state, it is not reused
+                conn.close()
+            if isinstance(exc, TimeoutError):
+                raise TransportError(TRANSPORT_TIMEOUT) from exc
+            if isinstance(exc, OSError):
+                raise TransportError(TRANSPORT_REFUSED) from exc
+            if isinstance(exc, Exception):
+                raise TransportError(TRANSPORT_PROTOCOL, str(exc)) from exc
+            raise
+        resp_headers: dict[str, str] = {}
+        for key, value in response.getheaders():
+            resp_headers[key] = (f"{resp_headers[key]}, {value}"
+                                 if key in resp_headers else value)
+        return response.status, resp_headers, payload
 
 
 def _serve(app, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
@@ -219,7 +293,7 @@ class InProcessTarget:
             ok, value = worker.outbox.get(timeout=timeout)
         except queue.Empty:
             self._retire(worker)
-            raise requests.Timeout(f"in-process handler exceeded {timeout}s")
+            raise TransportError(TRANSPORT_TIMEOUT) from None
         except BaseException:
             self._retire(worker)
             raise
@@ -243,18 +317,10 @@ def execute(plan, target, timeout: float = DEFAULT_TIMEOUT) -> HttpExchangeResul
     try:
         status, resp_headers, resp_body = target.request(
             plan.method, plan.concrete_url, headers, body_bytes, timeout)
-    except requests.Timeout:
+    except TransportError as exc:
         return HttpExchangeResult(
             status=None, latency=time.perf_counter() - started,
-            transport_error=TRANSPORT_TIMEOUT)
-    except requests.ConnectionError:
-        return HttpExchangeResult(
-            status=None, latency=time.perf_counter() - started,
-            transport_error=TRANSPORT_REFUSED)
-    except requests.RequestException as exc:
-        return HttpExchangeResult(
-            status=None, latency=time.perf_counter() - started,
-            transport_error=f"{TRANSPORT_PROTOCOL}: {exc}")
+            transport_error=str(exc))
     latency = time.perf_counter() - started
     json_body, json_error = _parse_json_body(resp_headers, resp_body)
     return HttpExchangeResult(
@@ -267,7 +333,7 @@ def reset(target, timeout: float = 10.0) -> None:
     a transport error is ignored."""
     try:
         target.request("POST", "/_admin/reset", {}, None, timeout)
-    except requests.RequestException:
+    except TransportError:
         pass
 
 
@@ -276,5 +342,5 @@ def probe(target, timeout: float = 5.0) -> bool:
     try:
         target.request("GET", "/", {}, None, timeout)
         return True
-    except requests.RequestException:
+    except TransportError:
         return False

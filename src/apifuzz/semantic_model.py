@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .naming import DEFAULT_MATCH_THRESHOLD, ID_SUFFIX_TOKENS, match_names, normalize_name, tokenize
-from .spec_ingest import ApiSpecIR, LintFinding, OperationDef, SchemaNode
+from .spec_ingest import (ApiSpecIR, LintFinding, OperationDef, SchemaNode,
+                          success_body_schemas)
 
 MODEL_VERSION = 1
 
@@ -172,17 +172,6 @@ def _is_id_marker_field(field_name: str, owner_name: str,
     return match_names(field_name, owner_name) >= threshold
 
 
-def _success_body_schemas(op: OperationDef) -> Iterable[SchemaNode]:
-    for pattern, resp in op.responses:
-        if not pattern.startswith("2") or resp.body_schema is None:
-            continue
-        schema = resp.body_schema
-        if schema.kind == "array" and schema.items is not None:
-            schema = schema.items
-        if schema.kind == "object":
-            yield schema
-
-
 def _find_cycle(edges: list[DependencyEdge]) -> list[DependencyEdge] | None:
     adjacency: dict[str, list[DependencyEdge]] = {}
     for e in edges:
@@ -273,7 +262,7 @@ def infer_model(spec: ApiSpecIR,
     for binding in bindings:
         if binding.crud_kind not in ("create", "read", "read-list"):
             continue
-        for schema in _success_body_schemas(ops_by_id[binding.operation_id]):
+        for schema in success_body_schemas(ops_by_id[binding.operation_id]):
             for fname, _ in schema.properties:
                 if _is_id_marker_field(fname, binding.resource, threshold) \
                         and fname not in id_fields[binding.resource]:

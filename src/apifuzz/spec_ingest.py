@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 import yaml
 
@@ -638,28 +638,26 @@ def spec_from_jsonable(data: dict) -> ApiSpecIR:
 
 # --- lint ---------------------------------------------------------------------
 
-def _success_response_fields(spec: ApiSpecIR) -> set[str]:
-    """Top-level field names any operation can produce in a success body."""
-    fields: set[str] = set()
-    for op in spec.operations:
-        for pattern, resp in op.responses:
-            if not pattern.startswith("2"):
-                continue
-            schema = resp.body_schema
-            if schema is None:
-                continue
-            if schema.kind == "array" and schema.items is not None:
-                schema = schema.items
-            for name, _ in schema.properties:
-                fields.add(name)
-    return fields
+def success_body_schemas(op: OperationDef) -> Iterator[SchemaNode]:
+    """The object schemas of an operation's 2XX bodies, an array body
+    giving its items' schema."""
+    for pattern, resp in op.responses:
+        if not pattern.startswith("2") or resp.body_schema is None:
+            continue
+        schema = resp.body_schema
+        if schema.kind == "array" and schema.items is not None:
+            schema = schema.items
+        if schema.kind == "object":
+            yield schema
 
 
 def lint_spec(spec: ApiSpecIR,
               threshold: float = DEFAULT_MATCH_THRESHOLD) -> list[LintFinding]:
     """Report spec pitfalls; never raises.  Deterministic order for equal specs."""
     findings: list[LintFinding] = list(spec.load_warnings)
-    produced = sorted(_success_response_fields(spec))
+    produced = sorted({name for op in spec.operations
+                       for schema in success_body_schemas(op)
+                       for name, _ in schema.properties})
 
     for op in spec.operations:
         loc = op.operation_id

@@ -99,7 +99,6 @@ class TraceEvent:
     transport_error: str | None = None
     latency: float = 0.0
     findings: list[Finding] = field(default_factory=list)
-    prediction: dict | None = None
     dispatch_epoch: int = 0
     completion_epoch: int = 0
 
@@ -126,8 +125,6 @@ class TraceEvent:
             out["body_digest"] = self.body_digest
         if self.transport_error is not None:
             out["transport_error"] = self.transport_error
-        if self.prediction is not None:
-            out["prediction"] = self.prediction
         return out
 
     @classmethod
@@ -144,15 +141,13 @@ class TraceEvent:
             transport_error=data.get("transport_error"),
             latency=data.get("latency", 0.0),
             findings=[Finding.from_dict(f) for f in data.get("findings", [])],
-            prediction=data.get("prediction"),
             dispatch_epoch=data.get("dispatch_epoch", 0),
             completion_epoch=data.get("completion_epoch", 0),
         )
 
 
 def make_trace_event(event_id: int, plan_wire: dict, result, findings,
-                     prediction=None, dispatch_epoch: int = 0,
-                     completion_epoch: int = 0,
+                     dispatch_epoch: int = 0, completion_epoch: int = 0,
                      is_id_key: Callable[[str], bool] | None = None
                      ) -> TraceEvent:
     """Build the persisted form of one exchange.
@@ -161,11 +156,10 @@ def make_trace_event(event_id: int, plan_wire: dict, result, findings,
     no finding keeps only what replay reads: of a 2XX JSON body the ids
     :func:`bind_symbols` registers (:func:`_project_ids`), of any other
     body nothing, and in both cases a ``body_digest``.  It leaves out the
-    response headers and the prediction's rationale.  An event with a
-    finding, or built without ``is_id_key``, is kept whole, and then a
-    non-UTF-8 body is base64-encoded.  Either way a body above
-    :data:`TRACE_BODY_LIMIT` bytes, judged before projecting, is replaced by
-    a size marker.
+    response headers.  An event with a finding, or built without
+    ``is_id_key``, is kept whole, and then a non-UTF-8 body is
+    base64-encoded.  Either way a body above :data:`TRACE_BODY_LIMIT` bytes,
+    judged before projecting, is replaced by a size marker.
     """
     whole = is_id_key is None or bool(findings)
     body = result.body
@@ -187,18 +181,12 @@ def make_trace_event(event_id: int, plan_wire: dict, result, findings,
                 body_text = body.decode("utf-8")
             except UnicodeDecodeError:
                 body_b64 = base64.b64encode(body).decode("ascii")
-    prediction_dict = None
-    if prediction is not None:
-        prediction_dict = {"expected": sorted(prediction.expected_classes),
-                           "basis": prediction.basis}
-        if whole:
-            prediction_dict["rationale"] = prediction.rationale
     return TraceEvent(
         event_id=event_id, plan=plan_wire, status=result.status,
         headers=dict(result.headers) if whole else {}, body_json=body_json,
         body_text=body_text, body_b64=body_b64, body_digest=body_digest,
         transport_error=result.transport_error, latency=result.latency,
-        findings=list(findings), prediction=prediction_dict,
+        findings=list(findings),
         dispatch_epoch=dispatch_epoch, completion_epoch=completion_epoch)
 
 

@@ -148,6 +148,31 @@ def test_fuzz_unreachable_endpoint_exits_two(spec_file, tmp_path):
     assert code == 2
 
 
+def test_fuzz_unwritable_trace_path_exits_two(spec_file, tmp_path, capsys):
+    trace = str(tmp_path / "no" / "such" / "t.jsonl")
+    code = run_cli("fuzz", spec_file, "--endpoint", "http://127.0.0.1:9",
+                   "--max-requests", "5", "--trace", trace,
+                   "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open trace file") and trace in err
+    assert not os.path.exists(tmp_path / "r.json")
+
+
+def test_fuzz_sequential_mode_keeps_a_window_of_one(spec_file, clean_server,
+                                                    tmp_path):
+    trace, report = str(tmp_path / "t.jsonl"), str(tmp_path / "report.json")
+    code = run_cli("fuzz", spec_file, "--endpoint", clean_server.base_url,
+                   "--mode", "sequential", "--max-in-flight", "4",
+                   "--max-requests", "100", "--seed", "2",
+                   "--trace", trace, "--report", report)
+    assert code == 0
+    payload = json.loads(open(report).read())
+    assert payload["run"]["counters"]["peak_in_flight"] == 1
+    with open(trace, encoding="utf-8") as fh:
+        assert json.loads(fh.readline())["config"]["max_in_flight"] == 1
+
+
 def test_fuzz_concurrent_exercises_concurrency(spec_file, clean_server,
                                                tmp_path):
     report = str(tmp_path / "report.json")

@@ -1,10 +1,10 @@
 import gc
+import socket
 import sys
 import threading
 import time
 
 import pytest
-import requests
 
 from apifuzz.bookshop import BookshopApp
 from apifuzz.bookshop.server import serve
@@ -14,8 +14,10 @@ from typing import Any
 from apifuzz.http_driver import (
     InProcessTarget,
     NetworkTarget,
+    TransportError,
     execute,
     probe,
+    render_url,
 )
 
 
@@ -122,6 +124,109 @@ def test_non_json_content_not_parsed(target):
     assert result.json_body is None
 
 
+# --- the network client ------------------------------------------------------
+
+class _RawServer:
+    """A keep-alive HTTP/1.1 listener on a bare socket.  It records each
+    request line as received and answers 200 with the request path as the
+    body: after half a second for ``/stall``, and for ``/bye`` by closing
+    the connection right after the answer, which claims keep-alive."""
+
+    def __init__(self):
+        self.lines: list[bytes] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.base_url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._answer, args=(conn,),
+                             daemon=True).start()
+
+    def _answer(self, conn):
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                line = reader.readline()
+                if not line:
+                    return
+                self.lines.append(line)
+                length = 0
+                for header in iter(reader.readline, b"\r\n"):
+                    if not header:
+                        return
+                    name, _, value = header.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                reader.read(length)
+                path = line.split(b" ")[1]
+                if path == b"/stall":
+                    time.sleep(0.5)
+                try:
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                                 b"\r\n%s" % (len(path), path))
+                except OSError:
+                    return
+                if path == b"/bye":
+                    return
+
+    def close(self):
+        self._listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    server = _RawServer()
+    yield server
+    server.close()
+
+
+def _get(target, path, headers=None, timeout=5):
+    return execute(Plan("GET", path, headers or {}, None), target,
+                   timeout=timeout)
+
+
+def test_illegal_header_value_is_a_protocol_error(raw_server):
+    net = NetworkTarget(raw_server.base_url)
+    result = _get(net, "/bad", {"X-Bad": "a\nb"})
+    assert result.status is None
+    assert result.transport_error.startswith("protocol-error")
+    after = _get(net, "/next")
+    assert (after.status, after.body) == (200, b"/next")
+
+
+def test_connection_closed_while_idle_is_replaced(raw_server):
+    net = NetworkTarget(raw_server.base_url)
+    assert _get(net, "/bye").status == 200
+    time.sleep(0.2)  # the server's close reaches the idle connection
+    after = _get(net, "/next")
+    assert (after.status, after.body) == (200, b"/next")
+
+
+def test_late_reply_is_not_read_as_the_next_answer(raw_server):
+    net = NetworkTarget(raw_server.base_url)
+    assert _get(net, "/stall", timeout=0.1).transport_error == "timeout"
+    after = _get(net, "/next")
+    assert (after.status, after.body) == (200, b"/next")
+
+
+def test_request_lines_are_requoted(raw_server):
+    net = NetworkTarget(raw_server.base_url)
+    paths = ["/bücher", "/books/a b", "/books/a%2Fb",
+             render_url("/books", {}, {"tag": ["x", "y z"]})]
+    for path in paths:
+        assert _get(net, path).status == 200
+    assert raw_server.lines == [
+        b"GET /b%C3%BCcher HTTP/1.1\r\n",
+        b"GET /books/a%20b HTTP/1.1\r\n",
+        b"GET /books/a%2Fb HTTP/1.1\r\n",
+        b"GET /books?tag=x&tag=y+z HTTP/1.1\r\n",
+    ]
+
+
 # --- the in-process dispatch worker ---------------------------------------------
 
 class _ScriptedApp:
@@ -152,7 +257,7 @@ def _wait_until_gone(threads, seconds: float = 1.0) -> set[threading.Thread]:
 
 def test_request_after_a_timeout_gets_its_own_answer():
     target = InProcessTarget(_ScriptedApp())
-    with pytest.raises(requests.Timeout):
+    with pytest.raises(TransportError, match="^timeout$"):
         target.request("GET", "/stall", {}, None, timeout=0.05)
     started = time.perf_counter()
     assert target.request("GET", "/next", {}, None, timeout=5) \
