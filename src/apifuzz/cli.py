@@ -5,7 +5,7 @@ output, and exit codes are stable:
 
 * ``model``    — 0 ok; 1 error-grade lint findings under ``--strict``
 * ``fuzz``     — 0 passed; 1 failed; 2 endpoint unreachable
-* ``minimize`` — 0 ok; 3 finding not reproducible on the full prefix
+* ``minimize`` — 0 ok; 2 error; 3 finding not reproducible on the full prefix
 * ``replay``   — 0 reproduced; 1 not reproduced; 2 error
 * ``report``   — 0
 
@@ -29,7 +29,7 @@ from .generator import (
     run,
     trace_header,
 )
-from .http_driver import DEFAULT_TIMEOUT, NetworkTarget, reset
+from .http_driver import DEFAULT_TIMEOUT, NetworkTarget, probe, reset
 from .naming import DEFAULT_MATCH_THRESHOLD
 from .sampling import MixtureConfig, WeightTable, build_sampling_spec
 from .semantic_model import (
@@ -77,14 +77,13 @@ def _default_headers() -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"} if token else {}
 
 
-def _print_findings(findings, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps([{"rule_id": f.rule_id, "severity": f.severity,
-                           "location": f.location, "message": f.message}
-                          for f in findings], indent=2))
-    else:
-        for f in findings:
-            print(f"{f.severity:7s} {f.rule_id:28s} {f.location}: {f.message}")
+def _unreachable(target, timeout: float) -> bool:
+    """Probe once, as ``fuzz`` does: a dead endpoint is no fixed bug."""
+    if probe(target, min(timeout, 5.0)):
+        return False
+    print(f"error: endpoint unreachable: no HTTP answer from "
+          f"{target.base_url!r}", file=sys.stderr)
+    return True
 
 
 # --- model -----------------------------------------------------------------------
@@ -123,7 +122,8 @@ def cmd_model(args) -> int:
     else:
         print(f"model written to {args.out}: {len(model.resources)} resources, "
               f"{len(model.bindings)} bindings, {len(model.edges)} edges")
-        _print_findings(lint_like, as_json=False)
+        for f in lint_like:
+            print(f"{f.severity:7s} {f.rule_id:28s} {f.location}: {f.message}")
     if args.strict and any(f.severity == "error" for f in lint_like):
         return 1
     return 0
@@ -140,15 +140,16 @@ _FLAG_TO_CONFIG = {
 }
 
 
-def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig]:
+def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig,
+                                     str, str]:
     file_config: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
     weights = WeightTable.from_dict(file_config.pop("weights", {}) or {})
     mixture = MixtureConfig.from_dict(file_config.pop("mixture", {}) or {})
-    file_config.pop("trace_path", None)
-    file_config.pop("report_path", None)
+    trace_path = file_config.pop("trace_path", None) or "apifuzz-trace.jsonl"
+    report_path = file_config.pop("report_path", None) or "apifuzz-report.json"
 
     for flag, key in _FLAG_TO_CONFIG.items():
         value = getattr(args, flag, None)
@@ -158,7 +159,8 @@ def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig]:
         file_config["stop_on_error"] = args.stop_on_error
     if args.exclude:
         file_config["path_excludes"] = args.exclude
-    return RunConfig.from_dict(file_config), weights, mixture
+    return (RunConfig.from_dict(file_config), weights, mixture,
+            args.trace or trace_path, args.report or report_path)
 
 
 def cmd_fuzz(args) -> int:
@@ -169,7 +171,8 @@ def cmd_fuzz(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        config, weights, mixture = _build_run_config(args)
+        config, weights, mixture, trace_path, report_path = \
+            _build_run_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: bad run configuration: {exc}", file=sys.stderr)
         return 2
@@ -190,7 +193,6 @@ def cmd_fuzz(args) -> int:
     sampling_spec = build_sampling_spec(spec, model, weights, mixture,
                                         config.match_threshold)
 
-    trace_path = args.trace or "apifuzz-trace.jsonl"
     try:
         sink = TraceSink.to_path(trace_path, trace_header(config, model))
     except SinkWriteError as exc:
@@ -223,7 +225,6 @@ def cmd_fuzz(args) -> int:
                 result.notes.append(f"trace sink failed: {exc}")
 
     report = {"run": result.to_dict(), "trace": trace_path}
-    report_path = args.report or "apifuzz-report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
 
@@ -274,7 +275,11 @@ def cmd_minimize(args) -> int:
 
     max_in_flight = config.get("max_in_flight", 1)
 
-    expected = expected_failure_for(by_id[event_id], spec)
+    try:
+        expected = expected_failure_for(by_id[event_id], spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     prefix = [e for e in events if e.event_id <= event_id]
     deps = producer_dependencies(prefix, model, threshold)
 
@@ -284,6 +289,8 @@ def cmd_minimize(args) -> int:
         reset(target)
         return target
 
+    if _unreachable(target_factory(), args.timeout):
+        return 2
     oracle = build_replay_oracle(
         model, expected, target_factory, max_in_flight=max_in_flight,
         attempts=args.replay_attempts, timeout=args.timeout,
@@ -330,6 +337,8 @@ def cmd_replay(args) -> int:
         return 2
     target = NetworkTarget(args.endpoint, _default_headers(),
                            verify=not args.insecure)
+    if _unreachable(target, args.timeout):
+        return 2
     try:
         outcome = replay(script, target, timeout=args.timeout,
                          attempts=args.attempts)

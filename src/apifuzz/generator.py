@@ -376,7 +376,7 @@ class _RunState:
                  dispatch_epoch: int, result) -> str | None:
         """Count, check, apply and trace one finished exchange; returns the
         stop reason it causes, if any.  Events are numbered in completion
-        order, which at window 1 is the plan order."""
+        order (at window 1 the plan order); that count is the trace's clock."""
         counters = self.counters
         counters["requests_sent"] += 1
         event_id = counters["requests_sent"]
@@ -395,8 +395,7 @@ class _RunState:
                                   f"(plan {plan.plan_id}): {exc}")
         event = make_trace_event(
             event_id, plan.to_wire_dict(), result, findings,
-            dispatch_epoch=dispatch_epoch, completion_epoch=self.store.epoch,
-            is_id_key=self.is_id_key)
+            dispatch_epoch=dispatch_epoch, is_id_key=self.is_id_key)
         try:
             self.sink.append(event)
         except SinkWriteError as exc:
@@ -487,7 +486,7 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
                                         n_warmup=config.n_warmup,
                                         warmup_bindings=state.warmup)
                 job = (plan, predict_status(plan, state.store, window > 1),
-                       state.store.epoch)
+                       state.counters["requests_sent"])
                 if executor is None:
                     stop_reason = state.complete(*job, execute(
                         plan, state.target, config.request_timeout))

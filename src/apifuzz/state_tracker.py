@@ -1,8 +1,8 @@
 """Internal state: the lifecycle of each resource id, and status prediction.
 
 The store answers one question per id: is it live, deleted or unknown.  It
-keeps no response bodies.  Each accepted ``upsert_live`` or ``mark_deleted``
-raises its epoch by one.  It has one writer, the run loop's thread, which
+keeps no response bodies and no clock: a trace orders exchanges by the
+run's completion count.  It has one writer, the run loop's thread, which
 also does all reads, so predictions read the live store; the lock only
 keeps each mutation whole.
 Past its cap the store evicts the id deleted longest ago, or the oldest id
@@ -52,7 +52,6 @@ class StateStore:
 
     def __init__(self, cap: int = DEFAULT_STORE_CAP):
         self.cap = cap
-        self.epoch = 0
         # OrderedDict and deque pop their oldest entry in O(1); a plain dict
         # finds its first key by skipping every slot freed before it.
         self._lifecycles: OrderedDict[tuple[str, str], str] = OrderedDict()
@@ -81,7 +80,6 @@ class StateStore:
                 self._lifecycles[key] = LIVE
                 self._live.setdefault(resource, {})[id_value] = None
                 self._evict_locked()
-            self.epoch += 1
             return True
 
     def mark_deleted(self, resource: str, id_value: str) -> bool:
@@ -97,7 +95,6 @@ class StateStore:
                 self._evict_locked()
             else:
                 del self._live[resource][id_value]
-            self.epoch += 1
             return True
 
     def _evict_locked(self) -> None:
@@ -110,9 +107,8 @@ class StateStore:
                 del self._live[resource][id_value]
 
     def dump_snapshot(self) -> str:
-        """JSON debug dump of the store, keyed by the current epoch."""
+        """JSON debug dump of the store: each id with its lifecycle."""
         snap = {
-            "epoch": self.epoch,
             "instances": [
                 {"resource": resource, "id": id_value, "lifecycle": lifecycle}
                 for (resource, id_value), lifecycle in self._lifecycles.items()

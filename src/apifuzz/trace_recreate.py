@@ -3,7 +3,9 @@
 Every exchange of a run is appended to a JSON Lines trace (one version header
 line, then one event per line).  An event keeps what replay needs: one with a
 finding keeps its exchange whole, and otherwise a response keeps only the ids
-it produced.  When a run fails, the failing prefix is reduced with a
+it produced.  An event completes at its own id, the run's count of completed
+exchanges, and its ``dispatch_epoch`` is that count when its plan was
+generated.  When a run fails, the failing prefix is reduced with a
 delta-debugging loop against a replay oracle, producer/consumer data flows are
 lifted into symbolic variables (so replays survive a SUT that assigns
 different ids), and the result is emitted as a script that either reproduces
@@ -52,7 +54,7 @@ from .spec_ingest import (
     _schema_jsonable,
 )
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 SCRIPT_VERSION = 1
 
 DEFAULT_ORACLE_BUDGET = 500
@@ -100,7 +102,12 @@ class TraceEvent:
     latency: float = 0.0
     findings: list[Finding] = field(default_factory=list)
     dispatch_epoch: int = 0
-    completion_epoch: int = 0
+    # A store epoch in trace versions 1 and 2; from 3 on, the event's id.
+    completion_epoch: int | None = None
+
+    def __post_init__(self):
+        if self.completion_epoch is None:
+            self.completion_epoch = self.event_id
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -109,7 +116,6 @@ class TraceEvent:
             "status": self.status,
             "latency": round(self.latency, 6),
             "dispatch_epoch": self.dispatch_epoch,
-            "completion_epoch": self.completion_epoch,
         }
         if self.headers:
             out["headers"] = self.headers
@@ -142,26 +148,25 @@ class TraceEvent:
             latency=data.get("latency", 0.0),
             findings=[Finding.from_dict(f) for f in data.get("findings", [])],
             dispatch_epoch=data.get("dispatch_epoch", 0),
-            completion_epoch=data.get("completion_epoch", 0),
+            completion_epoch=data.get("completion_epoch"),
         )
 
 
 def make_trace_event(event_id: int, plan_wire: dict, result, findings,
-                     dispatch_epoch: int = 0, completion_epoch: int = 0,
-                     is_id_key: Callable[[str], bool] | None = None
-                     ) -> TraceEvent:
+                     is_id_key: Callable[[str], bool],
+                     dispatch_epoch: int = 0) -> TraceEvent:
     """Build the persisted form of one exchange.
 
-    With ``is_id_key`` (the run's :func:`_id_key_predicate`), an event with
-    no finding keeps only what replay reads: of a 2XX JSON body the ids
-    :func:`bind_symbols` registers (:func:`_project_ids`), of any other
-    body nothing, and in both cases a ``body_digest``.  It leaves out the
-    response headers.  An event with a finding, or built without
-    ``is_id_key``, is kept whole, and then a non-UTF-8 body is
-    base64-encoded.  Either way a body above :data:`TRACE_BODY_LIMIT` bytes,
-    judged before projecting, is replaced by a size marker.
+    An event with no finding keeps only what replay reads: of a 2XX JSON
+    body the ids :func:`bind_symbols` registers (:func:`_project_ids`, by
+    ``is_id_key``, the run's :func:`_id_key_predicate`), of any other body
+    nothing, and in both cases a ``body_digest``.  It leaves out the
+    response headers.  An event with a finding is kept whole, and then a
+    non-UTF-8 body is base64-encoded.  Either way a body above
+    :data:`TRACE_BODY_LIMIT` bytes, judged before projecting, is replaced
+    by a size marker.
     """
-    whole = is_id_key is None or bool(findings)
+    whole = bool(findings)
     body = result.body
     body_json = body_text = body_b64 = body_digest = None
     if body:
@@ -186,8 +191,7 @@ def make_trace_event(event_id: int, plan_wire: dict, result, findings,
         headers=dict(result.headers) if whole else {}, body_json=body_json,
         body_text=body_text, body_b64=body_b64, body_digest=body_digest,
         transport_error=result.transport_error, latency=result.latency,
-        findings=list(findings),
-        dispatch_epoch=dispatch_epoch, completion_epoch=completion_epoch)
+        findings=list(findings), dispatch_epoch=dispatch_epoch)
 
 
 def _project_ids(body: Any, is_id_key: Callable[[str], bool]) -> Any:
@@ -302,27 +306,23 @@ class TraceSink:
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
-    """Load a trace file of version 1 or 2: (header, events).
+    """Load a trace file of version 1 to 3: (header, events).
 
-    A version-2 plan leaves out ``method`` and ``path_template``; they are
-    filled in from the operation in the header's spec IR, so a loaded plan
-    names its request line at either version.  A last line without its
-    newline that does not parse was torn by an interrupted write; it is
-    skipped with a warning.  A malformed line anywhere else raises
-    :class:`ValueError`, as does any other version.
+    Plans are loaded as written: from version 2 on they leave out
+    ``method`` and ``path_template``, which follow from the operation.  An
+    event without ``completion_epoch`` (version 3) completes at its own id.
+    A last line without its newline that does not parse was torn by an
+    interrupted write; it is skipped with a warning.  A malformed line
+    anywhere else raises :class:`ValueError`, as does any other version.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"trace file {path} is empty")
         header = json.loads(header_line)
-        if header.get("trace_version") not in (1, TRACE_VERSION):
+        if header.get("trace_version") not in range(1, TRACE_VERSION + 1):
             raise ValueError(
                 f"unsupported trace_version {header.get('trace_version')!r}")
-        request_lines = {
-            f"{op['method']} {op['path_template']}":
-                (op["method"], op["path_template"])
-            for op in header.get("spec_ir", {}).get("operations", ())}
         events = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -336,11 +336,6 @@ def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
                 warnings.warn(f"trace file {path}: skipped torn last line "
                               f"{lineno}", stacklevel=2)
                 break
-            plan = record["plan"]
-            if "method" not in plan:
-                request_line = request_lines.get(plan.get("operation"))
-                if request_line is not None:
-                    plan["method"], plan["path_template"] = request_line
             events.append(TraceEvent.from_dict(record))
     return header, events
 
@@ -403,8 +398,8 @@ class _ProducerRegistry:
 
     A producer is eligible for a consumer when it completed no later than the
     consumer was generated (its value could have been in the state store) and
-    it completed strictly earlier; among eligible producers the latest one
-    wins.
+    it completed strictly earlier (the store epochs of trace versions 1 and 2
+    can tie); among eligible producers the latest one wins.
     """
 
     def __init__(self):
@@ -540,7 +535,7 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
     completion_order = sorted(trace, key=lambda e: e.event_id)
     is_id_key = _id_key_predicate(model, threshold)
 
-    # pass 1: collect every produced id with its completion epoch
+    # pass 1: collect every produced id with its completion time
     registry = _ProducerRegistry()
     for event in completion_order:
         if event.status is None or not 200 <= event.status < 300 \

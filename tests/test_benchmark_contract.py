@@ -8,6 +8,7 @@ benchmark's source and fail instead.
 """
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 from types import ModuleType
@@ -89,6 +90,40 @@ def test_every_name_the_benchmark_wraps_exists():
     assert {("state_tracker.StateStore", "query_ids"),
             ("state_tracker.StateStore", "upsert_live"),
             ("generator", "execute"), ("trace_recreate", "replay")} <= wraps
+
+
+def _calls(filename: str, name: str):
+    for node in ast.walk(_tree(filename)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == name:
+            yield node
+
+
+def test_every_keyword_the_benchmark_passes_to_run_config_is_a_field():
+    fields = {f.name for f in dataclasses.fields(generator.RunConfig)}
+    passed = {keyword.arg for filename in IMPORTERS
+              for call in _calls(filename, "RunConfig")
+              for keyword in call.keywords}
+    assert passed - fields == set()
+    assert {"mode", "master_seed", "max_in_flight"} <= passed
+
+
+def test_every_plan_field_the_benchmark_reads_exists():
+    """``tracing.py`` keys dispatch spans by a plan's method and URL and
+    reads its id through ``getattr``, which hides a missing field."""
+    read = set()
+    for node in ast.walk(_tree("tracing.py")):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "plan":
+            read.add(node.attr)
+    for call in _calls("tracing.py", "getattr"):
+        target, name = call.args[0], call.args[1]
+        if isinstance(target, ast.Name) and target.id == "plan" \
+                and isinstance(name, ast.Constant):
+            read.add(name.value)
+    fields = {f.name for f in dataclasses.fields(generator.RequestPlan)}
+    assert read - fields == set()
+    assert {"method", "concrete_url", "plan_id"} <= read
 
 
 @pytest.mark.parametrize("window", [1, 2])

@@ -9,6 +9,7 @@ from apifuzz.bookshop import bookshop_spec_document
 from apifuzz.bookshop.server import serve
 from apifuzz.cli import main
 from apifuzz.http_driver import NetworkTarget
+from apifuzz.trace_recreate import RecreateScript, read_trace
 
 from conftest import FlushFailsAfterHeader, minimal_spec_doc
 
@@ -204,6 +205,26 @@ def test_fuzz_config_file_with_flag_overrides(spec_file, clean_server,
     assert payload["run"]["counters"]["requests_sent"] == 60
 
 
+def test_fuzz_writes_the_paths_the_config_file_names(spec_file, clean_server,
+                                                     tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "endpoint": clean_server.base_url, "max_requests": 20,
+        "trace_path": str(tmp_path / "file-trace.jsonl"),
+        "report_path": str(tmp_path / "file-report.json")}))
+    assert run_cli("fuzz", spec_file, "--config", str(config)) == 0
+    report = json.loads((tmp_path / "file-report.json").read_text())
+    assert report["trace"] == str(tmp_path / "file-trace.jsonl")
+    assert os.path.exists(report["trace"])
+
+    # a flag overrides the file, as for every other key
+    assert run_cli("fuzz", spec_file, "--config", str(config),
+                   "--trace", str(tmp_path / "flag-trace.jsonl")) == 0
+    report = json.loads((tmp_path / "file-report.json").read_text())
+    assert report["trace"] == str(tmp_path / "flag-trace.jsonl")
+    assert os.path.exists(report["trace"])
+
+
 # --- minimize + replay ---------------------------------------------------------------
 
 @pytest.fixture
@@ -260,6 +281,31 @@ def test_minimize_not_reproducible_exits_three(failing_trace, tmp_path):
         assert code == 3
     finally:
         clean.stop()
+
+
+def test_minimize_against_a_dead_endpoint_exits_two(failing_trace, tmp_path,
+                                                   capsys):
+    _, trace = failing_trace
+    capsys.readouterr()
+    code = run_cli("minimize", "--trace", trace,
+                   "--endpoint", "http://127.0.0.1:9",
+                   "--out", str(tmp_path / "s.json"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: endpoint unreachable")
+    assert not os.path.exists(tmp_path / "s.json")
+
+
+def test_minimize_an_event_without_findings_exits_two(failing_trace,
+                                                      tmp_path, capsys):
+    server, trace = failing_trace
+    clean = next(e.event_id for e in read_trace(trace)[1] if not e.findings)
+    capsys.readouterr()
+    code = run_cli("minimize", "--trace", trace, "--event", str(clean),
+                   "--endpoint", server.base_url,
+                   "--out", str(tmp_path / "s.json"))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: event {clean} carries no findings\n"
 
 
 def test_minimize_resets_through_the_run_target(failing_trace, tmp_path,
@@ -321,6 +367,21 @@ def test_replay_malformed_script_exits_two(tmp_path, clean_server):
     bad.write_text("{definitely not a script")
     assert run_cli("replay", "--script", str(bad),
                    "--endpoint", clean_server.base_url) == 2
+
+
+def test_replay_against_a_dead_endpoint_exits_two(tmp_path, capsys):
+    """A script that expects no response must not pass for reproduced, nor
+    any script for fixed, when nothing answers."""
+    script = tmp_path / "s.json"
+    script.write_bytes(RecreateScript(
+        steps=[{"step": 0, "method": "GET", "path_template": "/books",
+                "path_params": {}, "query": {}, "headers": {}, "body": None}],
+        bindings=[], expected_failure={
+            "kind": "no-response",
+            "transport_error": "connection-refused"}).to_json())
+    assert run_cli("replay", "--script", str(script),
+                   "--endpoint", "http://127.0.0.1:9") == 2
+    assert capsys.readouterr().err.startswith("error: endpoint unreachable")
 
 
 # --- report ------------------------------------------------------------------------

@@ -237,8 +237,51 @@ def test_trace_is_persisted_with_header(bookshop_ir):
     assert "spec_ir" in header and "model" in header
     assert len(events) == 20
     assert [e.event_id for e in events] == list(range(1, 21))
-    assert all(e.completion_epoch >= e.dispatch_epoch for e in events)
+    # At window 1 each plan is generated once the exchange before it
+    # completed, and an event completes at its own id, which is not written.
+    with open(result.trace_ref, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh][1:]
+    assert [r["dispatch_epoch"] for r in records] == list(range(20))
+    assert not any("completion_epoch" in r for r in records)
     _drop_trace(result)
+
+
+def test_dispatch_epoch_counts_the_exchanges_completed_at_generation(
+        bookshop_model, bookshop_sampling, monkeypatch):
+    """Above window 1 a plan's dispatch epoch is the number of exchanges
+    completed when it was generated, counted here apart from the loop."""
+    from apifuzz import generator
+
+    completed = [0]
+    at_generation = {}  # plan id -> exchanges completed then
+    real_generate, real_make = generator.generate_request, \
+        generator.make_trace_event
+
+    def generate_request(*args, plan_id, **kwargs):
+        at_generation[plan_id] = completed[0]
+        return real_generate(*args, plan_id=plan_id, **kwargs)
+
+    def make_trace_event(*args, **kwargs):
+        completed[0] += 1
+        return real_make(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "generate_request", generate_request)
+    monkeypatch.setattr(generator, "make_trace_event", make_trace_event)
+    config = RunConfig(mode="concurrent", max_in_flight=2, master_seed=1,
+                       max_requests=200, stop_on_error=False)
+    target = InProcessTarget(BookshopApp())
+    try:
+        result = run(config, bookshop_model, bookshop_sampling, target=target)
+    finally:
+        target.close()
+    _, events = read_trace(result.trace_ref)
+    _drop_trace(result)
+    assert len(events) == len(at_generation) == 200
+    assert all(e.dispatch_epoch == at_generation[e.plan["plan_id"]]
+               for e in events)
+    # the window overlapped: some plan was generated before the exchange
+    # ahead of it in completion order was done
+    assert any(e.dispatch_epoch < e.event_id - 1 for e in events)
 
 
 def test_endpoint_unreachable_raises(bookshop_ir, bookshop_model,

@@ -42,13 +42,16 @@ def make_plan(crud="read", resource="customer", *, tags=None, path_params=None,
 
 # --- store basics -----------------------------------------------------------------
 
-def test_epoch_strictly_increases_per_mutation():
+def test_each_mutation_moves_an_id_through_its_lifecycle():
     store = StateStore()
-    assert store.epoch == 0
-    store.upsert_live("customer", "c1")
-    e1 = store.epoch
-    store.mark_deleted("customer", "c1")
-    assert store.epoch > e1
+    assert store.lifecycle_of("customer", "c1") is None
+    assert store.upsert_live("customer", "c1")
+    assert store.lifecycle_of("customer", "c1") == "live"
+    assert store.query_ids("customer") == ["c1"]
+    assert store.mark_deleted("customer", "c1")
+    assert store.lifecycle_of("customer", "c1") == "deleted"
+    assert store.query_ids("customer") == []
+    assert not store.mark_deleted("customer", "c1")
 
 
 def test_query_ids_insertion_order_and_filters():
@@ -132,12 +135,13 @@ def test_live_id_index_matches_a_full_scan(seed):
             assert store.query_ids(name) == _scanned_live_ids(store, name)
 
 
-def test_dump_snapshot_is_json_keyed_by_epoch():
+def test_dump_snapshot_is_json_of_every_lifecycle():
     store = StateStore()
     store.upsert_live("customer", "c1")
-    dump = json.loads(store.dump_snapshot())
-    assert dump["epoch"] == store.epoch
-    assert dump["instances"][0]["id"] == "c1"
+    store.mark_deleted("book", "b1")
+    assert json.loads(store.dump_snapshot()) == {"instances": [
+        {"resource": "customer", "id": "c1", "lifecycle": "live"},
+        {"resource": "book", "id": "b1", "lifecycle": "deleted"}]}
 
 
 # --- id extraction ------------------------------------------------------------------
@@ -193,20 +197,18 @@ def test_delete_marks_deleted():
     store = StateStore()
     store.upsert_live("customer", "c9")
     plan = make_plan("delete", path_params={"customerId": "c9"})
-    epoch = store.epoch
     apply_effect(plan, make_result(204), store)
-    assert store.epoch == epoch + 1
     assert store.lifecycle_of("customer", "c9") == "deleted"
+    assert store.query_ids("customer") == []
 
 
 def test_failed_request_has_no_effect():
     store = StateStore()
     plan = make_plan("read", path_params={"customerId": "cX"})
     apply_effect(plan, make_result(404, {"error": "nope"}), store)
-    assert store.epoch == 0
     assert len(store) == 0
     apply_effect(plan, make_result(transport_error="timeout"), store)
-    assert store.epoch == 0
+    assert len(store) == 0
 
 
 def test_read_discovers_instance():
@@ -222,7 +224,7 @@ def test_read_list_upserts_each_item():
     body = [{"customerId": "c1"}, {"customerId": "c2"}, {"oops": True}]
     apply_effect(plan, make_result(200, body), store)
     assert store.query_ids("customer") == ["c1", "c2"]
-    assert store.epoch == 2  # the un-iddable element is skipped
+    assert len(store) == 2  # the un-iddable element is skipped
 
 
 def test_replay_equivalence_same_effects_same_store():

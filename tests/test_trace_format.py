@@ -1,5 +1,5 @@
-"""Trace format version 2: what an event keeps, how the sink writes it, and
-that a version-1 trace still loads, binds, reports and shrinks the same."""
+"""The trace format: what an event keeps, how the sink writes it, and that
+a version-1 trace still loads, binds, reports and shrinks the same."""
 
 import json
 import os
@@ -18,6 +18,7 @@ from apifuzz.http_driver import HttpExchangeResult, InProcessTarget
 from apifuzz.naming import DEFAULT_MATCH_THRESHOLD
 from apifuzz.trace_recreate import (
     TRACE_BODY_LIMIT,
+    TRACE_VERSION,
     SinkWriteError,
     TraceSink,
     _id_key_predicate,
@@ -142,12 +143,12 @@ def _fuzz(bookshop_model, bookshop_sampling, path, toggles=(), **config):
 
 def test_clean_events_leave_out_request_lines_and_headers(
         tmp_path, bookshop_model, bookshop_sampling):
-    path = str(tmp_path / "v2.jsonl")
+    path = str(tmp_path / "current.jsonl")
     _fuzz(bookshop_model, bookshop_sampling, path, [V1_BUG], **V1_CONFIG)
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         records = [json.loads(line) for line in fh]
-    assert header["trace_version"] == 2 and len(records) == 60
+    assert header["trace_version"] == TRACE_VERSION and len(records) == 60
     with_findings = [r for r in records if r.get("findings")]
     assert with_findings and len(with_findings) < len(records)
     for record in records:
@@ -164,7 +165,7 @@ def test_clean_events_leave_out_request_lines_and_headers(
 
 # --- version 1 ------------------------------------------------------------------------
 
-def _v2_of_the_v1_run(tmp_path, bookshop_model, bookshop_sampling) -> str:
+def _current_of_the_v1_run(tmp_path, bookshop_model, bookshop_sampling) -> str:
     """The run that wrote ``tests/data/bookshop-v1.trace.jsonl`` with the
     code before trace version 2, in the current format.
 
@@ -186,7 +187,7 @@ def _v2_of_the_v1_run(tmp_path, bookshop_model, bookshop_sampling) -> str:
             trace_sink=sink)
         sink.close(); target.close()
     """
-    path = str(tmp_path / "v2.jsonl")
+    path = str(tmp_path / "current.jsonl")
     _fuzz(bookshop_model, bookshop_sampling, path, [V1_BUG], **V1_CONFIG)
     return path
 
@@ -205,27 +206,26 @@ def _failing_prefix(events):
 
 def test_a_v1_trace_loads_and_binds_like_v2(tmp_path, bookshop_model,
                                             bookshop_sampling, capsys):
-    v2_path = _v2_of_the_v1_run(tmp_path, bookshop_model, bookshop_sampling)
+    current_path = _current_of_the_v1_run(tmp_path, bookshop_model,
+                                          bookshop_sampling)
     v1_header, v1 = read_trace(str(V1_TRACE))
-    v2_header, v2 = read_trace(v2_path)
-    assert v1_header["trace_version"] == 1 and v2_header["trace_version"] == 2
-    assert _event_bytes(v2_path) < 0.6 * _event_bytes(V1_TRACE)
-    assert [e.event_id for e in v1] == [e.event_id for e in v2]
-    for old, new in zip(v1, v2):
-        assert (old.status, old.findings, old.dispatch_epoch,
-                old.completion_epoch) == (new.status, new.findings,
-                                          new.dispatch_epoch,
-                                          new.completion_epoch)
-        assert (old.plan["method"], old.plan["path_template"]) == \
-            (new.plan["method"], new.plan["path_template"])
+    current_header, current = read_trace(current_path)
+    assert v1_header["trace_version"] == 1
+    assert current_header["trace_version"] == TRACE_VERSION
+    assert _event_bytes(current_path) < 0.6 * _event_bytes(V1_TRACE)
+    assert [e.event_id for e in v1] == [e.event_id for e in current]
+    for old, new in zip(v1, current):
+        assert (old.status, old.findings, old.plan["operation"]) == \
+            (new.status, new.findings, new.plan["operation"])
+        assert "method" in old.plan and "method" not in new.plan
 
-    v1_prefix, v2_prefix = _failing_prefix(v1), _failing_prefix(v2)
-    script = bind_symbols(v2_prefix, bookshop_model)
+    v1_prefix, current_prefix = _failing_prefix(v1), _failing_prefix(current)
+    script = bind_symbols(current_prefix, bookshop_model)
     assert script.bindings
     assert bind_symbols(v1_prefix, bookshop_model).to_json() == script.to_json()
 
     reports = []
-    for path in (str(V1_TRACE), v2_path):
+    for path in (str(V1_TRACE), current_path):
         assert cli.main(["report", "--trace", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         del report["trace"]
@@ -236,9 +236,10 @@ def test_a_v1_trace_loads_and_binds_like_v2(tmp_path, bookshop_model,
 
 def test_a_v1_trace_shrinks_like_v2(tmp_path, bookshop_model,
                                     bookshop_sampling):
-    v2_path = _v2_of_the_v1_run(tmp_path, bookshop_model, bookshop_sampling)
+    current_path = _current_of_the_v1_run(tmp_path, bookshop_model,
+                                          bookshop_sampling)
     sizes = []
-    for path in (str(V1_TRACE), v2_path):
+    for path in (str(V1_TRACE), current_path):
         _, events = read_trace(path)
         prefix = _failing_prefix(events)
         expected = trace_recreate.expected_failure_for(
@@ -257,11 +258,12 @@ def test_a_v1_trace_shrinks_like_v2(tmp_path, bookshop_model,
 def test_a_later_trace_version_is_refused(tmp_path):
     lines = V1_TRACE.read_text(encoding="utf-8").splitlines(keepends=True)
     header = json.loads(lines[0])
-    header["trace_version"] = 3
-    path = tmp_path / "v3.jsonl"
+    header["trace_version"] = TRACE_VERSION + 1
+    path = tmp_path / "later.jsonl"
     path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]),
                     encoding="utf-8")
-    with pytest.raises(ValueError, match="unsupported trace_version 3"):
+    with pytest.raises(ValueError,
+                       match=f"unsupported trace_version {TRACE_VERSION + 1}"):
         read_trace(str(path))
 
 
@@ -318,7 +320,8 @@ def test_the_sink_writes_compact_lines(tmp_path):
     sink.append(_clean_event(1))
     sink.close()
     lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith('{"trace_version":2,"note":"n"')
+    assert lines[0].startswith(
+        '{"trace_version":%d,"note":"n"' % TRACE_VERSION)
     assert ": " not in lines[1] and ", " not in lines[1]
 
 

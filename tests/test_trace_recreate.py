@@ -64,14 +64,25 @@ def plan_dict(op, method, template, path_params=None, body=None, query=None,
     }
 
 
-def event(event_id, plan, status=200, body=None, findings=()):
+def event(event_id, plan, status=200, body=None, findings=(),
+          dispatch_epoch=None):
+    """An event of a window-1 run unless ``dispatch_epoch`` says otherwise:
+    its plan was generated once the ``event_id - 1`` exchanges before it
+    completed."""
     return TraceEvent(event_id=event_id, plan=plan, status=status,
                       headers={"Content-Type": "application/json"},
-                      body_json=body, findings=list(findings))
+                      body_json=body, findings=list(findings),
+                      dispatch_epoch=event_id - 1 if dispatch_epoch is None
+                      else dispatch_epoch)
 
 
 def error_finding(kind="server-error-5xx", **kwargs):
     return Finding("error", kind, "boom", **kwargs)
+
+
+def _no_ids(key):
+    """An id predicate for events whose bodies are never projected."""
+    return False
 
 
 # --- sink & reading ------------------------------------------------------------------
@@ -160,14 +171,16 @@ def test_oversized_bodies_are_truncated():
                                 headers={"Content-Type": "application/json"},
                                 body=big, json_body=json.loads(big))
     ev = make_trace_event(1, plan_dict("GET /books", "GET", "/books"),
-                          result, [])
+                          result, [error_finding()], is_id_key=_no_ids)
     assert ev.body_json["__truncated__"] is True
     assert ev.body_json["bytes"] == len(big)
+    assert len(ev.body_json["sha256"]) == 64
 
 
 def test_non_utf8_bodies_are_base64():
     result = HttpExchangeResult(status=200, headers={}, body=b"\xff\xfe\x01")
-    ev = make_trace_event(1, plan_dict("GET /x", "GET", "/x"), result, [])
+    ev = make_trace_event(1, plan_dict("GET /x", "GET", "/x"), result,
+                          [error_finding()], is_id_key=_no_ids)
     assert ev.body_b64 is not None and ev.body_json is None
 
 
@@ -298,6 +311,38 @@ def test_bind_symbols_prefers_latest_producer(bookshop_model):
     (binding,) = script.bindings
     assert binding["producer"][0] == 2
     assert binding["producer"][1] == "$[0].customerId"
+
+
+def test_bind_symbols_skips_a_producer_that_completed_after_generation(
+        bookshop_model):
+    """Events as a window-2 run writes them: the read was generated once one
+    exchange had completed, so the create, which completed second, cannot
+    have given it its id."""
+    create = plan_dict("POST /customers", "POST", "/customers",
+                       body={"name": "Ada"}, crud="create",
+                       resource="customer", plan_id=2)
+    read = plan_dict("GET /customers/{customerId}", "GET",
+                     "/customers/{customerId}",
+                     path_params={"customerId": "c7"}, resource="customer",
+                     plan_id=3)
+
+    def trace(read_dispatch_epoch):
+        records = [
+            event(1, plan_dict("GET /books", "GET", "/books"), body=[],
+                  dispatch_epoch=0),
+            event(2, create, status=201, body={"customerId": "c7"},
+                  dispatch_epoch=0),
+            event(3, read, status=500, body={"error": "x"},
+                  findings=[error_finding()],
+                  dispatch_epoch=read_dispatch_epoch)]
+        return [TraceEvent.from_dict(e.to_dict()) for e in records]
+
+    assert all("completion_epoch" not in e.to_dict() for e in trace(1))
+    script = bind_symbols(trace(1), bookshop_model)
+    assert script.bindings == []
+    assert script.steps[2]["path_params"]["customerId"] == "c7"
+    (binding,) = bind_symbols(trace(2), bookshop_model).bindings
+    assert binding["producer"] == [2, "$.customerId"]
 
 
 def test_bind_symbols_binds_body_array_elements(bookshop_model):
@@ -558,7 +603,8 @@ def test_replay_sends_the_url_the_fuzz_run_sent(monkeypatch):
             return 200, {}, b""
 
     ok = HttpExchangeResult(status=200)
-    trace = [make_trace_event(1, plan.to_wire_dict(), ok, [])]
+    trace = [make_trace_event(1, plan.to_wire_dict(), ok, [],
+                              is_id_key=_no_ids)]
     script = bind_symbols(trace, model, expected_failure={"status_class": "5XX"})
     recorder = Recorder()
     replay(script, recorder)
