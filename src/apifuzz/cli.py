@@ -100,7 +100,7 @@ def cmd_model(args) -> int:
     if args.overrides:
         with open(args.overrides, "rb") as fh:
             try:
-                model = merge_overrides(model, fh.read(), spec)
+                model = merge_overrides(model, fh.read(), spec, args.threshold)
             except (ModelSchemaError, DanglingReference) as exc:
                 print(f"error: invalid overrides: {exc}", file=sys.stderr)
                 return 1
@@ -146,6 +146,8 @@ def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig,
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
+        if not isinstance(file_config, dict):
+            raise ValueError(f"{args.config}: root is not an object")
     weights = WeightTable.from_dict(file_config.pop("weights", {}) or {})
     mixture = MixtureConfig.from_dict(file_config.pop("mixture", {}) or {})
     trace_path = file_config.pop("trace_path", None) or "apifuzz-trace.jsonl"
@@ -173,7 +175,7 @@ def cmd_fuzz(args) -> int:
     try:
         config, weights, mixture, trace_path, report_path = \
             _build_run_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: bad run configuration: {exc}", file=sys.stderr)
         return 2
     if not config.endpoint:
@@ -248,7 +250,7 @@ def cmd_minimize(args) -> int:
     """Reduce a failing trace to a minimal recreate script."""
     try:
         header, events = read_trace(args.trace)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
     if not events:
@@ -332,7 +334,7 @@ def cmd_replay(args) -> int:
     try:
         with open(args.script, "rb") as fh:
             script = RecreateScript.from_json(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load script: {exc}", file=sys.stderr)
         return 2
     target = NetworkTarget(args.endpoint, _default_headers(),
@@ -358,7 +360,7 @@ def cmd_report(args) -> int:
     """Summarize a trace file: traffic, statuses, findings."""
     try:
         header, events = read_trace(args.trace)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
     per_operation: dict[str, int] = {}

@@ -80,20 +80,18 @@ DEFAULT_WARMUP = 20
 
 @dataclass
 class RequestPlan:
-    """One filled request.  Its wire form, as traced, leaves out the
-    binding's resource and CRUD kind, ``resource_id_fields``,
-    ``declared_status_patterns``, the method, the path template and the
-    concrete URL: each follows from ``operation``, the trace header's model
-    and spec IR, and ``render_url``.  It also leaves out empty mappings and
-    an unset ``target_id_param``."""
+    """One filled request.  Its wire form, as traced, keeps only what
+    ``bind_symbols`` and ``apifuzz report`` read: the plan id, the
+    operation, the body and the non-empty headers, path parameters and
+    query.  The rest serves the run itself: ``predict_status`` reads the
+    value tags, references and declared statuses, and ``apply_effect`` the
+    binding, the id fields and ``target_id_param``."""
     binding: OperationBinding
     method: str
-    path_template: str
     concrete_url: str
     headers: dict[str, str]
     body: Any
     value_tags: dict[str, str]
-    violated: dict[str, str]
     plan_id: int
     path_param_values: dict[str, Any] = field(default_factory=dict)
     query_values: dict[str, Any] = field(default_factory=dict)
@@ -112,16 +110,6 @@ class RequestPlan:
             wire["path_params"] = self.path_param_values
         if self.query_values:
             wire["query"] = self.query_values
-        if self.value_tags:
-            wire["value_tags"] = self.value_tags
-        if self.violated:
-            wire["violated"] = self.violated
-        if self.reference_values:
-            wire["reference_values"] = {
-                k: [res, list(ids)]
-                for k, (res, ids) in self.reference_values.items()}
-        if self.target_id_param is not None:
-            wire["target_id_param"] = self.target_id_param
         return wire
 
 
@@ -215,7 +203,6 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
     header_values: dict[str, str] = {}
     body_fields: dict[str, Any] = {}
     tags: dict[str, str] = {}
-    violated: dict[str, str] = {}
     references: dict[str, tuple[str, tuple[str, ...]]] = {}
     target_id_param: str | None = None
 
@@ -226,8 +213,6 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
         domain = sampler_set.per_parameter[key]
         sampled = sample_value(domain, store, rng)
         tags[key] = sampled.tag
-        if sampled.violated:
-            violated[key] = sampled.violated
         if domain.kind == KIND_REFERENCE:
             ids = sampled.value if isinstance(sampled.value, list) \
                 else [sampled.value]
@@ -252,8 +237,6 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
     elif "__body__" in sampler_set.per_parameter:
         sampled = sample_value(sampler_set.per_parameter["__body__"], store, rng)
         tags["__body__"] = sampled.tag
-        if sampled.violated:
-            violated["__body__"] = sampled.violated
         body = sampled.value
 
     resource_id_fields: tuple[str, ...] = ()
@@ -265,12 +248,10 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
     return RequestPlan(
         binding=binding,
         method=op.method,
-        path_template=op.path_template,
         concrete_url=render_url(op.path_template, path_values, query_values),
         headers=header_values,
         body=body,
         value_tags=tags,
-        violated=violated,
         plan_id=plan_id,
         path_param_values={k: wire_str(v) for k, v in path_values.items()},
         query_values=query_values,

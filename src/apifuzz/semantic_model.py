@@ -397,6 +397,11 @@ def _validate_sections(doc: dict, required_version: bool) -> None:
             if not isinstance(entry, dict) or not keys.issubset(entry):
                 raise ModelSchemaError(
                     f"malformed {section} entry: {entry!r}")
+            id_fields = entry.get("id_field_names", [])
+            if not isinstance(id_fields, list) \
+                    or not all(isinstance(f, str) for f in id_fields):
+                raise ModelSchemaError(
+                    f"id_field_names is not a list of strings: {entry!r}")
             if section == "bindings" and entry["crud_kind"] not in CRUD_KINDS:
                 raise ModelSchemaError(
                     f"unknown crud_kind {entry['crud_kind']!r}")
@@ -492,68 +497,32 @@ def load_model(document: bytes | str, spec: ApiSpecIR,
 
 
 def merge_overrides(model: SemanticModel, overrides: bytes | str,
-                    spec: ApiSpecIR) -> SemanticModel:
+                    spec: ApiSpecIR,
+                    threshold: float = DEFAULT_MATCH_THRESHOLD) -> SemanticModel:
     """Apply a partial model document on top of a model.
 
-    Entries replace same-keyed elements or are appended, tagged
-    ``user-edited``; an entry carrying ``"remove": true`` deletes its target.
+    Each entry updates the same-keyed entry of ``serialize_model(model)``
+    or is appended; one carrying ``"remove": true`` deletes its target.
+    The result is read back through :func:`load_model`, so it is checked
+    and tagged as a model file is, and keeps the base model's warnings.
     """
     doc = _parse_model_doc(overrides)
     _validate_sections(doc, required_version=False)
-    known_ops = set(spec.operations_by_id())
-
-    resources = {r.name: r for r in model.resources}
-    bindings = {b.operation_id: b for b in model.bindings}
-    edges = {(e.dependent, e.prerequisite, e.via_parameter): e
-             for e in model.edges}
-    provenance = dict(model.provenance)
-
-    for entry in doc.get("resources", []):
-        name = entry["name"]
-        if entry.get("remove"):
-            resources.pop(name, None)
-            provenance.pop(_rkey(name), None)
-            continue
-        base = resources.get(name)
-        resources[name] = Resource(
-            name,
-            tuple(entry.get("id_field_names",
-                            base.id_field_names if base else ())),
-            base.schema if base else None)
-        provenance[_rkey(name)] = PROVENANCE_USER
-
-    for entry in doc.get("bindings", []):
-        op_id = entry["operation"]
-        if op_id not in known_ops:
-            raise DanglingReference(f"override binds unknown operation {op_id!r}")
-        if entry.get("remove"):
-            raise ModelSchemaError(
-                "bindings cannot be removed; reclassify or zero-weight instead")
-        bindings[op_id] = OperationBinding(op_id, entry["resource"],
-                                           entry["crud_kind"])
-        provenance[_bkey(op_id)] = PROVENANCE_USER
-
-    for entry in doc.get("edges", []):
-        key = (entry["dependent"], entry["prerequisite"], entry["via_parameter"])
-        if entry.get("remove"):
-            removed = edges.pop(key, None)
-            if removed is not None:
-                provenance.pop(_ekey(removed), None)
-            continue
-        edge = DependencyEdge(*key, float(entry.get("confidence", 1.0)))
-        for endpoint in (edge.dependent, edge.prerequisite):
-            if endpoint not in resources:
-                raise DanglingReference(
-                    f"override edge references unknown resource {endpoint!r}")
-        edges[key] = edge
-        provenance[_ekey(edge)] = PROVENANCE_USER
-
-    return SemanticModel(
-        resources=sorted(resources.values(), key=lambda r: r.name),
-        bindings=sorted(bindings.values(), key=lambda b: b.operation_id),
-        edges=sorted(edges.values(), key=lambda e: (e.dependent, e.prerequisite,
-                                                    e.via_parameter)),
-        provenance=provenance,
-        warnings=list(model.warnings),
-        spec=spec,
-    )
+    merged = json.loads(serialize_model(model))
+    for section, key_fields in (
+            ("resources", ("name",)), ("bindings", ("operation",)),
+            ("edges", ("dependent", "prerequisite", "via_parameter"))):
+        entries = {tuple(e[k] for k in key_fields): e for e in merged[section]}
+        for entry in doc.get(section, []):
+            key = tuple(entry[k] for k in key_fields)
+            if not entry.get("remove"):
+                entries[key] = {**entries.get(key, {}), **entry}
+            elif section == "bindings":
+                raise ModelSchemaError(
+                    "bindings cannot be removed; reclassify or zero-weight instead")
+            else:
+                entries.pop(key, None)
+        merged[section] = list(entries.values())
+    result = load_model(json.dumps(merged), spec, threshold)
+    result.warnings = list(model.warnings)
+    return result

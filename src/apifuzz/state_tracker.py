@@ -124,17 +124,18 @@ def extract_id(body: Any, id_fields: Iterable[str],
     """Locate the new instance's id in a response body.
 
     Tries the model's id field names exactly, then a bare ``id`` field, then
-    fuzzy name matching over the remaining top-level keys.
+    fuzzy name matching over the remaining top-level keys.  An id is a
+    string or an integer, never a boolean, as for the trace and replay.
     """
     if not isinstance(body, dict):
         raise IdExtractionFailure(f"response body is not an object: {type(body).__name__}")
     for fname in id_fields:
-        if fname in body and isinstance(body[fname], (str, int)):
+        if fname in body and type(body[fname]) in (str, int):
             return str(body[fname])
-    if "id" in body and isinstance(body["id"], (str, int)):
+    if "id" in body and type(body["id"]) in (str, int):
         return str(body["id"])
     for key in sorted(body):
-        if not isinstance(body[key], (str, int)):
+        if type(body[key]) not in (str, int):
             continue
         if any(match_names(key, fname) >= threshold for fname in id_fields):
             return str(body[key])

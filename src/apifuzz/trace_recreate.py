@@ -135,6 +135,10 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
+        if not isinstance(data, dict) or type(data.get("event_id")) is not int \
+                or not isinstance(data.get("plan"), dict):
+            raise ValueError("not an object with an integer event_id and "
+                             "a plan object")
         return cls(
             event_id=data["event_id"],
             plan=data["plan"],
@@ -313,13 +317,19 @@ def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
     event without ``completion_epoch`` (version 3) completes at its own id.
     A last line without its newline that does not parse was torn by an
     interrupted write; it is skipped with a warning.  A malformed line
-    anywhere else raises :class:`ValueError`, as does any other version.
+    anywhere else raises :class:`ValueError` naming it: one that does not
+    parse, a header that is not an object, an event without an
+    ``event_id`` or a ``plan``, a finding without a ``grade``, ``kind`` or
+    ``detail``.  So does any other version.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"trace file {path} is empty")
         header = json.loads(header_line)
+        if not isinstance(header, dict):
+            raise ValueError(f"trace file {path} line 1: the header is not "
+                             f"an object")
         if header.get("trace_version") not in range(1, TRACE_VERSION + 1):
             raise ValueError(
                 f"unsupported trace_version {header.get('trace_version')!r}")
@@ -336,7 +346,11 @@ def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
                 warnings.warn(f"trace file {path}: skipped torn last line "
                               f"{lineno}", stacklevel=2)
                 break
-            events.append(TraceEvent.from_dict(record))
+            try:
+                events.append(TraceEvent.from_dict(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"trace file {path} line {lineno}: malformed "
+                                 f"event ({type(exc).__name__}: {exc})") from exc
     return header, events
 
 
@@ -455,14 +469,29 @@ class RecreateScript:
 
     @classmethod
     def from_json(cls, document: bytes | str) -> "RecreateScript":
+        """Load a script; :class:`ValueError` when the document is not one."""
         if isinstance(document, bytes):
             document = document.decode("utf-8")
         doc = json.loads(document)
+        if not isinstance(doc, dict):
+            raise ValueError("script root is not an object")
         if doc.get("script_version") != SCRIPT_VERSION:
             raise ValueError(
                 f"unsupported script_version {doc.get('script_version')!r}")
-        script = cls(steps=doc["steps"], bindings=doc.get("bindings", []),
-                     expected_failure=doc.get("expected_failure", {}),
+        expected_failure = doc.get("expected_failure", {})
+        if not isinstance(expected_failure, dict):
+            raise ValueError("script 'expected_failure' is not an object")
+        for key in ("max_in_flight", "attempts"):
+            value = doc.get(key, 1)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"script {key!r} is not a positive integer")
+        steps = _script_entries(doc.get("steps"), "steps",
+                                {"method": str, "path_template": str})
+        bindings = _script_entries(
+            doc.get("bindings", []), "bindings",
+            {"variable": str, "producer": list, "producer_step": int})
+        script = cls(steps=steps, bindings=bindings,
+                     expected_failure=expected_failure,
                      max_in_flight=doc.get("max_in_flight", 1),
                      attempts=doc.get("attempts", 1))
         script.validate()
@@ -478,6 +507,20 @@ class RecreateScript:
                     raise ValueError(
                         f"step {idx} consumes {variable} produced at later "
                         f"step {producer_step[variable]}")
+
+
+def _script_entries(entries: Any, section: str,
+                    keys: dict[str, type]) -> list[dict]:
+    """``entries`` when it is a list of objects, each with ``keys`` of
+    their types; else :class:`ValueError`."""
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and all(isinstance(e.get(k), kind)
+                                        for k, kind in keys.items())
+            for e in entries):
+        raise ValueError(f"script {section!r} is not a list of objects with "
+                         + " and ".join(f"a {kind.__name__} {k!r}"
+                                        for k, kind in keys.items()))
+    return entries
 
 
 def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,

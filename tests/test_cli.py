@@ -9,9 +9,11 @@ from apifuzz.bookshop import bookshop_spec_document
 from apifuzz.bookshop.server import serve
 from apifuzz.cli import main
 from apifuzz.http_driver import NetworkTarget
+from apifuzz.semantic_model import load_model, serialize_model
+from apifuzz.spec_ingest import load_spec_file
 from apifuzz.trace_recreate import RecreateScript, read_trace
 
-from conftest import FlushFailsAfterHeader, minimal_spec_doc
+from conftest import FlushFailsAfterHeader, edge_set, minimal_spec_doc
 
 
 @pytest.fixture
@@ -74,6 +76,54 @@ def test_model_overrides_add_user_edge(spec_file, tmp_path):
     added = [e for e in doc["edges"] if e["prerequisite"] == "customer"
              and e["dependent"] == "book"]
     assert added and added[0]["provenance"] == "user-edited"
+
+
+def test_model_overrides_load_as_a_model_file(spec_file, clean_server,
+                                              tmp_path):
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(json.dumps({
+        "resources": [{"name": "book", "id_field_names": ["bookId", "isbn"]}],
+        "bindings": [{"operation": "GET /orders", "resource": "order",
+                      "crud_kind": "other"}],
+        "edges": [{"dependent": "order", "prerequisite": "book",
+                   "via_parameter": "bookIds", "remove": True}]}))
+    out = tmp_path / "model.json"
+    assert run_cli("model", spec_file, "--out", str(out),
+                   "--overrides", str(overrides)) == 0
+    spec = load_spec_file(spec_file)
+    model = load_model(out.read_bytes(), spec)
+    assert serialize_model(model) == out.read_bytes()
+    assert model.resource("book").id_field_names == ("bookId", "isbn")
+    assert ("order", "book") not in edge_set(model)
+    assert run_cli("fuzz", spec_file, "--model", str(out),
+                   "--endpoint", clean_server.base_url,
+                   "--max-requests", "40", "--seed", "1",
+                   "--trace", str(tmp_path / "t.jsonl"),
+                   "--report", str(tmp_path / "r.json")) == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    {"bindings": [{"operation": "GET /orders", "resource": "warehouse",
+                   "crud_kind": "read-list"}]},
+    {"resources": [{"name": "customer", "remove": True}]},
+    {"resources": [{"name": "author", "remove": True}],
+     "bindings": [{"operation": op, "resource": "book", "crud_kind": kind}
+                  for op, kind in (("GET /authors", "read-list"),
+                                   ("POST /authors", "create"),
+                                   ("GET /authors/{authorId}", "read"),
+                                   ("DELETE /authors/{authorId}", "delete"))]},
+    {"resources": [{"name": "book", "id_field_names": 5}]},
+], ids=["binding-to-unknown-resource", "resource-still-bound",
+        "resource-still-an-edge-end", "id-fields-not-a-list"])
+def test_model_refuses_overrides_that_fuzz_would_refuse(spec_file, tmp_path,
+                                                        capsys, overrides):
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps(overrides))
+    out = tmp_path / "model.json"
+    assert run_cli("model", spec_file, "--out", str(out),
+                   "--overrides", str(path)) == 1
+    assert capsys.readouterr().err.startswith("error: invalid overrides: ")
+    assert not out.exists()
 
 
 def test_model_json_output(spec_file, tmp_path, capsys):
@@ -203,6 +253,28 @@ def test_fuzz_config_file_with_flag_overrides(spec_file, clean_server,
     assert code == 0
     payload = json.loads(open(report).read())
     assert payload["run"]["counters"]["requests_sent"] == 60
+
+
+def test_fuzz_refuses_a_config_file_whose_root_is_not_an_object(
+        spec_file, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text("[]")
+    assert run_cli("fuzz", spec_file, "--config", str(config),
+                   "--endpoint", "http://127.0.0.1:9") == 2
+    assert capsys.readouterr().err.startswith("error: bad run configuration")
+
+
+def test_fuzz_refuses_a_model_file_with_malformed_id_fields(
+        spec_file, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert run_cli("model", spec_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc["resources"][0]["id_field_names"] = 5
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("fuzz", spec_file, "--model", str(out),
+                   "--endpoint", "http://127.0.0.1:9") == 2
+    assert capsys.readouterr().err.startswith("error: invalid model file")
 
 
 def test_fuzz_writes_the_paths_the_config_file_names(spec_file, clean_server,
@@ -367,6 +439,41 @@ def test_replay_malformed_script_exits_two(tmp_path, clean_server):
     bad.write_text("{definitely not a script")
     assert run_cli("replay", "--script", str(bad),
                    "--endpoint", clean_server.base_url) == 2
+
+
+def _step(*drop):
+    step = {"step": 0, "method": "GET", "path_template": "/books",
+            "path_params": {}, "query": {}, "headers": {}, "body": None}
+    for key in drop:
+        del step[key]
+    return step
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"script_version": 1, "steps": 5},
+    {"script_version": 1, "steps": [5]},
+    {"script_version": 1, "steps": [_step()], "bindings": 5},
+    {"script_version": 1, "steps": [_step()], "bindings": ["$author_id"]},
+    {"script_version": 1, "steps": [_step()],
+     "bindings": [{"variable": "$author_id", "producer_step": 0}]},
+    {"script_version": 1, "steps": [_step("method")]},
+    {"script_version": 1, "steps": [_step("path_template")]},
+    {"script_version": 1, "steps": [_step()], "expected_failure": []},
+    {"script_version": 1, "steps": [_step()], "max_in_flight": "2"},
+], ids=["root-a-list", "steps-not-a-list", "step-not-an-object",
+        "bindings-not-a-list", "binding-not-an-object", "binding-no-producer",
+        "step-no-method", "step-no-path-template",
+        "expected-failure-not-an-object", "window-not-an-integer"])
+def test_replay_a_malformed_script_is_an_error_not_a_fixed_bug(
+        tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        RecreateScript.from_json(path.read_bytes())
+    assert run_cli("replay", "--script", str(path),
+                   "--endpoint", "http://127.0.0.1:9") == 2
+    assert capsys.readouterr().err.startswith("error: cannot load script: ")
 
 
 def test_replay_against_a_dead_endpoint_exits_two(tmp_path, capsys):

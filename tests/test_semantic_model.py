@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import string
 
@@ -16,7 +17,7 @@ from apifuzz.semantic_model import (
     serialize_model,
     topological_order,
 )
-from apifuzz.spec_ingest import load_spec
+from apifuzz.spec_ingest import LintFinding, load_spec
 from apifuzz.trace_recreate import _id_key_predicate
 
 from conftest import edge_set, json_response, minimal_spec_doc
@@ -228,6 +229,9 @@ def test_dangling_edge_resource_rejected(bookshop_ir, bookshop_model):
         {"operation": "GET /books", "resource": "book", "crud_kind": "zap"}),
     lambda doc: doc["edges"].append(
         {"dependent": "book", "prerequisite": "book", "via_parameter": "x"}),
+    lambda doc: doc["resources"][1].update(id_field_names=5),
+    lambda doc: doc["resources"][1].update(id_field_names="bookId"),
+    lambda doc: doc["resources"][1].update(id_field_names=[1]),
 ])
 def test_model_schema_errors(bookshop_ir, bookshop_model, mutation):
     doc = json.loads(serialize_model(bookshop_model))
@@ -271,6 +275,43 @@ def test_merge_overrides_rejects_unknown_operation(bookshop_ir, bookshop_model):
         {"operation": "PATCH /nothing", "resource": "book", "crud_kind": "other"}]})
     with pytest.raises(DanglingReference):
         merge_overrides(bookshop_model, overrides, bookshop_ir)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"bindings": [{"operation": "GET /orders", "resource": "warehouse",
+                   "crud_kind": "read-list"}]},
+    {"resources": [{"name": "customer", "remove": True}]},
+    {"edges": [{"dependent": "book", "prerequisite": "warehouse",
+                "via_parameter": "warehouseId"}]},
+], ids=["binding-to-unknown-resource", "resource-still-bound",
+        "edge-to-unknown-resource"])
+def test_merge_overrides_refuses_a_dangling_reference(bookshop_ir,
+                                                      bookshop_model,
+                                                      overrides):
+    with pytest.raises(DanglingReference):
+        merge_overrides(bookshop_model, json.dumps(overrides), bookshop_ir)
+
+
+def test_merge_overrides_reads_the_result_back_as_a_model_file(
+        bookshop_ir, bookshop_model):
+    base = dataclasses.replace(bookshop_model, warnings=[
+        LintFinding("dependency-cycle-broken", "warning", "edge:x", "kept")])
+    overrides = json.dumps({
+        "resources": [{"name": "book", "id_field_names": ["bookId"]},
+                      {"name": "author", "id_field_names": ["authorId", "pen"]}],
+        "edges": [{"dependent": "order", "prerequisite": "book",
+                   "via_parameter": "bookIds", "confidence": 0.5}]})
+    merged = merge_overrides(base, overrides, bookshop_ir)
+    assert merged == load_model(serialize_model(merged), bookshop_ir)
+    assert merged.warnings == base.warnings
+    # an entry equal to the inferred one stays inferred
+    assert merged.provenance["resource:book"] == "inferred"
+    assert merged.provenance["resource:author"] == "user-edited"
+    # an entry updates by key: the edge keeps its place, with a new confidence
+    edge = next(e for e in merged.edges if e.via_parameter == "bookIds")
+    assert edge.confidence == 0.5
+    assert merged.provenance["edge:order->book:bookIds"] == "user-edited"
+    assert len(merged.edges) == len(bookshop_model.edges)
 
 
 # --- id fields: one rule for sampling and replay ---------------------------------

@@ -30,9 +30,9 @@ def make_plan(crud="read", resource="customer", *, tags=None, path_params=None,
               declared=("200", "201", "204", "400", "404"), plan_id=1):
     binding = OperationBinding(f"OP /{resource}", resource, crud)
     return RequestPlan(
-        binding=binding, method="GET", path_template=f"/{resource}s",
+        binding=binding, method="GET",
         concrete_url=f"/{resource}s", headers={}, body=None,
-        value_tags=tags or {}, violated={}, plan_id=plan_id,
+        value_tags=tags or {}, plan_id=plan_id,
         path_param_values=path_params or {},
         reference_values=refs or {},
         target_id_param=target if (path_params and target in path_params) else None,
@@ -157,6 +157,16 @@ def test_extract_id_failure():
         extract_id({"name": "x"}, ("customerId",))
     with pytest.raises(IdExtractionFailure):
         extract_id(["not-an-object"], ("customerId",))
+
+
+def test_extract_id_takes_no_boolean_for_an_id():
+    """The trace's id projection and replay's binding skip booleans, so the
+    store must not track one either."""
+    with pytest.raises(IdExtractionFailure):
+        extract_id({"bookId": True}, ["bookId"])
+    with pytest.raises(IdExtractionFailure):
+        extract_id({"id": False, "book_id": True}, ["bookId"])
+    assert extract_id({"bookId": True, "id": "b1"}, ["bookId"]) == "b1"
 
 
 # --- effects -----------------------------------------------------------------------

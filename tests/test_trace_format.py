@@ -163,6 +163,21 @@ def test_clean_events_leave_out_request_lines_and_headers(
             assert record["headers"]
 
 
+PLAN_KEYS = {"plan_id", "operation", "body", "headers", "path_params", "query"}
+
+
+def test_plans_keep_only_what_replay_and_report_read(
+        tmp_path, bookshop_model, bookshop_sampling):
+    path = str(tmp_path / "current.jsonl")
+    _fuzz(bookshop_model, bookshop_sampling, path, [V1_BUG], **V1_CONFIG)
+    _, events = read_trace(path)
+    assert len(events) == 60
+    for event in events:
+        assert {"plan_id", "operation", "body"} <= set(event.plan) <= PLAN_KEYS
+    assert any({"headers", "path_params", "query"} & set(e.plan)
+               for e in events)
+
+
 # --- version 1 ------------------------------------------------------------------------
 
 def _current_of_the_v1_run(tmp_path, bookshop_model, bookshop_sampling) -> str:
@@ -218,6 +233,8 @@ def test_a_v1_trace_loads_and_binds_like_v2(tmp_path, bookshop_model,
         assert (old.status, old.findings, old.plan["operation"]) == \
             (new.status, new.findings, new.plan["operation"])
         assert "method" in old.plan and "method" not in new.plan
+    assert any({"value_tags", "reference_values", "target_id_param"}
+               <= set(e.plan) for e in v1)
 
     v1_prefix, current_prefix = _failing_prefix(v1), _failing_prefix(current)
     script = bind_symbols(current_prefix, bookshop_model)
@@ -265,6 +282,43 @@ def test_a_later_trace_version_is_refused(tmp_path):
     with pytest.raises(ValueError,
                        match=f"unsupported trace_version {TRACE_VERSION + 1}"):
         read_trace(str(path))
+
+
+def _with_findings(records):
+    return next(r for r in records[1:] if r.get("findings"))
+
+
+@pytest.mark.parametrize("mutate, lineno", [
+    (lambda records: records.__setitem__(0, []), 1),
+    (lambda records: records[1].pop("event_id"), 2),
+    (lambda records: records[1].pop("plan"), 2),
+    (lambda records: records[1].__setitem__("plan", "POST /authors"), 2),
+    (lambda records: _with_findings(records)["findings"][0].pop("grade"),
+     None),
+    (lambda records: _with_findings(records)["findings"][0].pop("kind"), None),
+    (lambda records: _with_findings(records)["findings"][0].pop("detail"),
+     None),
+    (lambda records: _with_findings(records).__setitem__("findings", 5), None),
+], ids=["header-not-object", "no-event-id", "no-plan", "plan-not-object",
+        "no-grade", "no-kind", "no-detail", "findings-not-a-list"])
+def test_a_malformed_trace_is_refused_naming_its_line(tmp_path, capsys,
+                                                      mutate, lineno):
+    records = [json.loads(line) for line in
+               V1_TRACE.read_text(encoding="utf-8").splitlines()]
+    if lineno is None:
+        lineno = 1 + records.index(_with_findings(records))
+    mutate(records)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"line {lineno}\\b"):
+        read_trace(str(path))
+    assert cli.main(["report", "--trace", str(path)]) == 2
+    assert cli.main(["minimize", "--trace", str(path),
+                     "--endpoint", "http://127.0.0.1:9"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: cannot read trace: ") for line in err)
 
 
 # --- the sink -----------------------------------------------------------------------
