@@ -4,7 +4,8 @@ Every subcommand is scriptable: ``--json`` switches to machine-readable
 output, and exit codes are stable:
 
 * ``model``    — 0 ok; 1 error-grade lint findings under ``--strict``
-* ``fuzz``     — 0 passed; 1 failed; 2 endpoint unreachable
+* ``fuzz``     — 0 passed; 1 failed; 2 error (bad input, an unwritable
+  trace or report, an unreachable endpoint), found before the trace opens
 * ``minimize`` — 0 ok; 2 error; 3 finding not reproducible on the full prefix
 * ``replay``   — 0 reproduced; 1 not reproduced; 2 error
 * ``report``   — 0
@@ -86,6 +87,21 @@ def _unreachable(target, timeout: float) -> bool:
     return True
 
 
+def _unwritable(path: str, what: str) -> bool:
+    """Whether ``path`` cannot be written, found before any work: an
+    existing file is opened for append and kept as it is, and a file this
+    check creates is removed again."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print(f"error: cannot open {what} {path}: {exc}", file=sys.stderr)
+        return True
+    if not existed:
+        os.unlink(path)
+    return False
+
+
 # --- model -----------------------------------------------------------------------
 
 def cmd_model(args) -> int:
@@ -98,12 +114,12 @@ def cmd_model(args) -> int:
     findings = lint_spec(spec, args.threshold)
     model = infer_model(spec, args.threshold)
     if args.overrides:
-        with open(args.overrides, "rb") as fh:
-            try:
+        try:
+            with open(args.overrides, "rb") as fh:
                 model = merge_overrides(model, fh.read(), spec, args.threshold)
-            except (ModelSchemaError, DanglingReference) as exc:
-                print(f"error: invalid overrides: {exc}", file=sys.stderr)
-                return 1
+        except (OSError, ModelSchemaError, DanglingReference) as exc:
+            print(f"error: invalid overrides: {exc}", file=sys.stderr)
+            return 1
     data = serialize_model(model)
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -148,10 +164,15 @@ def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig,
             file_config = json.load(fh)
         if not isinstance(file_config, dict):
             raise ValueError(f"{args.config}: root is not an object")
-    weights = WeightTable.from_dict(file_config.pop("weights", {}) or {})
-    mixture = MixtureConfig.from_dict(file_config.pop("mixture", {}) or {})
+    try:
+        weights = WeightTable.from_dict(file_config.pop("weights", {}) or {})
+        mixture = MixtureConfig.from_dict(file_config.pop("mixture", {}) or {})
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"a value of the wrong type: {exc}") from None
     trace_path = file_config.pop("trace_path", None) or "apifuzz-trace.jsonl"
     report_path = file_config.pop("report_path", None) or "apifuzz-report.json"
+    if not isinstance(trace_path, str) or not isinstance(report_path, str):
+        raise ValueError("trace_path and report_path must be strings")
 
     for flag, key in _FLAG_TO_CONFIG.items():
         value = getattr(args, flag, None)
@@ -161,8 +182,12 @@ def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig,
         file_config["stop_on_error"] = args.stop_on_error
     if args.exclude:
         file_config["path_excludes"] = args.exclude
-    return (RunConfig.from_dict(file_config), weights, mixture,
-            args.trace or trace_path, args.report or report_path)
+    try:
+        config = RunConfig.from_dict(file_config)
+    except TypeError as exc:
+        raise ValueError(f"a value of the wrong type: {exc}") from None
+    return (config, weights, mixture, args.trace or trace_path,
+            args.report or report_path)
 
 
 def cmd_fuzz(args) -> int:
@@ -184,24 +209,29 @@ def cmd_fuzz(args) -> int:
         return 2
 
     if args.model:
-        with open(args.model, "rb") as fh:
-            try:
+        try:
+            with open(args.model, "rb") as fh:
                 model = load_model(fh.read(), spec, config.match_threshold)
-            except (ModelSchemaError, DanglingReference) as exc:
-                print(f"error: invalid model file: {exc}", file=sys.stderr)
-                return 2
+        except (OSError, ModelSchemaError, DanglingReference) as exc:
+            print(f"error: invalid model file: {exc}", file=sys.stderr)
+            return 2
     else:
         model = infer_model(spec, config.match_threshold)
     sampling_spec = build_sampling_spec(spec, model, weights, mixture,
                                         config.match_threshold)
 
+    # Opening the trace truncates it, so every input is checked first.
+    target = NetworkTarget(config.endpoint, _default_headers(),
+                           verify=not args.insecure)
+    if _unwritable(trace_path, "trace file") \
+            or _unwritable(report_path, "report file") \
+            or _unreachable(target, config.request_timeout):
+        return 2
     try:
         sink = TraceSink.to_path(trace_path, trace_header(config, model))
     except SinkWriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    target = NetworkTarget(config.endpoint, _default_headers(),
-                           verify=not args.insecure)
 
     def progress(event: ProgressEvent) -> None:
         if not args.json:
@@ -256,6 +286,11 @@ def cmd_minimize(args) -> int:
     if not events:
         print("error: trace has no events", file=sys.stderr)
         return 2
+    missing = [key for key in ("spec_ir", "model") if key not in header]
+    if missing:
+        print(f"error: cannot read trace: its header has no "
+              f"{' or '.join(missing)}", file=sys.stderr)
+        return 2
     spec = spec_from_jsonable(header["spec_ir"])
     config = header.get("config") or {}
     threshold = config.get("match_threshold", DEFAULT_MATCH_THRESHOLD)
@@ -291,7 +326,8 @@ def cmd_minimize(args) -> int:
         reset(target)
         return target
 
-    if _unreachable(target_factory(), args.timeout):
+    if _unreachable(target_factory(), args.timeout) \
+            or _unwritable(args.out, "script file"):
         return 2
     oracle = build_replay_oracle(
         model, expected, target_factory, max_in_flight=max_in_flight,

@@ -7,13 +7,13 @@ on a request cap or Ctrl-C (stop reason ``operator-stop``).  The first few
 selections create prerequisite resources in dependency order so the state
 store populates quickly; after that, selection is purely weight-driven.
 
-One loop, :func:`run`, serves both modes; its window is ``max_in_flight``.
-At window 1 (sequential mode) each request is sent from the loop's thread
-and completes before the next is generated, which makes a seeded run
-deterministic against a deterministic SUT.  A wider window keeps that many
-exchanges open on worker threads and applies effects in completion order.
-Workers only dispatch, so the loop's thread is the store's single reader and
-writer and reads it live, with no copy.
+One loop, :func:`run`, serves both modes; its window is ``max_in_flight``,
+and a dispatcher of that many threads sends every request.  At window 1
+(sequential mode) each request completes before the next is generated,
+which makes a seeded run deterministic against a deterministic SUT.  A
+wider window keeps that many exchanges open and applies effects in
+completion order.  The dispatcher's threads only run ``execute``, so the
+loop's thread is the store's single reader and writer and reads it live.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
@@ -33,6 +32,7 @@ from .checker import (
 )
 from .http_driver import (
     DEFAULT_TIMEOUT,
+    Dispatcher,
     NetworkTarget,
     execute,
     probe,
@@ -333,7 +333,7 @@ class _RunState:
             "error_findings": 0,
             "warning_findings": 0,
             "info_findings": 0,
-            "peak_in_flight": 1 if config.max_in_flight == 1 else 0,
+            "peak_in_flight": 0,
             "id_extraction_failures": 0,
         }
         self.findings: list[Finding] = []
@@ -445,15 +445,13 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
         progress: Callable | None = None) -> RunResult:
     """Fuzz until a stop condition holds, ``config.max_in_flight`` at a time.
 
-    At window 1 ``execute`` runs on this thread.  Ctrl-C stops the run as
-    ``operator-stop``; exchanges still in flight then go untraced.
+    Ctrl-C stops the run as ``operator-stop``; exchanges still in flight
+    then go untraced.
     """
     state = _RunState(config, model, target, trace_sink)
     window = config.max_in_flight
-    executor = ThreadPoolExecutor(max_workers=window,
-                                  thread_name_prefix="apifuzz-worker") \
-        if window > 1 else None
-    in_flight: dict[Future, tuple[RequestPlan, StatusPrediction, int]] = {}
+    dispatcher = Dispatcher(window, config.request_timeout)
+    in_flight: dict[int, tuple[RequestPlan, StatusPrediction, int]] = {}
     dispatched = 0
     stop_reason: str | None = None
     try:
@@ -466,36 +464,33 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
                                         state.rng, plan_id=dispatched,
                                         n_warmup=config.n_warmup,
                                         warmup_bindings=state.warmup)
-                job = (plan, predict_status(plan, state.store, window > 1),
-                       state.counters["requests_sent"])
-                if executor is None:
-                    stop_reason = state.complete(*job, execute(
-                        plan, state.target, config.request_timeout))
-                    state.emit_progress(progress, in_flight=1)
-                    continue
-                in_flight[executor.submit(execute, plan, state.target,
-                                          config.request_timeout)] = job
+                in_flight[dispatched] = (
+                    plan, predict_status(plan, state.store, window > 1),
+                    state.counters["requests_sent"])
+                dispatcher.send(dispatched, execute, plan, state.target,
+                                config.request_timeout)
                 state.counters["peak_in_flight"] = max(
                     state.counters["peak_in_flight"], len(in_flight))
                 if len(in_flight) < window:
                     continue
             elif not in_flight:
                 break
-            done, _ = wait(set(in_flight), timeout=0.25,
-                           return_when=FIRST_COMPLETED)
-            # Number a batch in dispatch order: of two exchanges that finish
+            # A batch comes sorted by plan id: of two exchanges that finish
             # together, the one dispatched first gets the lower event id.
-            for future in sorted(done, key=lambda f: in_flight[f][0].plan_id):
-                stop_reason = state.complete(*in_flight.pop(future),
-                                             future.result()) or stop_reason
+            for plan_id, result in wait(dispatcher):
+                stop_reason = state.complete(*in_flight.pop(plan_id),
+                                             result) or stop_reason
             state.emit_progress(progress, in_flight=len(in_flight))
     except KeyboardInterrupt:
         stop_reason = "operator-stop"
     finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
+        dispatcher.close()
     return state.finish(stop_reason or "operator-stop")
 
+
+# The loop looks ``execute`` and ``wait`` up here on every request, so the
+# benchmark can time both by replacing them (perfbench/tracing.py).
+wait = Dispatcher.wait
 
 # Both names are imported by the benchmark's workloads (perfbench/workloads.py).
 run_sequential = run_concurrent = run

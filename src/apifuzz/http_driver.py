@@ -13,13 +13,12 @@ calling thread.  A connection whose exchange failed is dropped, and one the
 server closed while it sat idle is replaced before it is used, so a failed
 or late exchange never touches the next request.
 
-The in-process target runs the application's handler on one long-lived
-worker thread per calling thread, handed work through a pair of queues, so
-that a stalled handler can be abandoned at the timeout exactly as a network
-request would be.  A worker whose call timed out (or whose caller was
-interrupted while waiting) is retired: it exits once its stalled call
-returns, and the caller's next request starts a fresh worker, so a late
-reply is never read as the answer to a later request.
+The in-process target calls the application's handler on the calling
+thread.  A run and a replay send every request through a
+:class:`Dispatcher`, a window of long-lived threads that bounds each call
+by the timeout for either target: a stalled call is answered as a timeout
+and its thread is retired, so a late reply is never read as the answer to a
+later request.
 
 :func:`render_url` is the one place plan values become a concrete URL; the
 generator and replay both call it, so a replayed step sends the URL the fuzz
@@ -38,7 +37,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import quote, urlencode, urlsplit
 
 from .spec_ingest import media_type
@@ -200,109 +199,111 @@ class NetworkTarget:
         return response.status, resp_headers, payload
 
 
-def _serve(app, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
-    """Worker loop: answer each job on ``inbox`` until a ``None`` arrives.
-
-    Holds the app and its queues but never the target, so a dropped target
-    can be collected and its finalizer can stop the worker.  Whatever the
-    handler raises is handed to the caller, which re-raises it.
-    """
-    while True:
-        job = inbox.get()
-        if job is None:
-            return
-        try:
-            outbox.put((True, app.handle(*job)))
-        except BaseException as exc:
-            outbox.put((False, exc))
-
-
-def _stop_worker(inboxes: set[queue.SimpleQueue],
-                 inbox: queue.SimpleQueue) -> None:
-    """Ask one worker to exit once its current call returns.  Takes no lock:
-    it may run from garbage collection while its target's lock is held."""
-    inboxes.discard(inbox)
-    inbox.put(None)
-
-
-def _stop_workers(inboxes: set[queue.SimpleQueue], lock: threading.Lock) -> None:
-    with lock:
-        stopping = list(inboxes)
-        inboxes.clear()
-    for inbox in stopping:
-        inbox.put(None)
-
-
-class _Worker:
-    """The queues of one worker thread.  Its calling thread's thread-local
-    holds it, so it is dropped when that thread ends; dropping it, or
-    calling ``stop``, ends the worker thread once its current call returns."""
-
-    def __init__(self, app, inboxes: set[queue.SimpleQueue]):
-        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self.outbox: queue.SimpleQueue = queue.SimpleQueue()
-        inboxes.add(self.inbox)
-        self.stop = weakref.finalize(self, _stop_worker, inboxes, self.inbox)
-        threading.Thread(
-            target=_serve, args=(app, self.inbox, self.outbox), daemon=True,
-            name=f"inproc-{threading.current_thread().name}").start()
-
-
 class InProcessTarget:
     """Adapter over an application object exposing
     ``handle(method, path, query, headers, body) -> (status, headers, body)``.
 
-    Each calling thread gets its own worker thread, started on its first
-    request, and waits at most ``timeout`` for the worker's reply.  On a
-    timeout the stalled handler is abandoned (it finishes on its own), its
-    worker is retired, and the call reports a timeout, mirroring the network
-    behavior; a handler's exception is re-raised in the caller.  A worker
-    ends with its calling thread; ``close()`` ends the workers of every
-    calling thread, and a target dropped without ``close()`` ends them when
-    it is collected.
+    The handler runs on the calling thread, and a handler's exception
+    reaches the caller.  ``timeout`` is not applied here: a run or a replay
+    bounds each call through its :class:`Dispatcher`.
     """
 
     def __init__(self, app):
         self.app = app
         self.base_url = "in-process"
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._inboxes: set[queue.SimpleQueue] = set()
-        self._closer = weakref.finalize(self, _stop_workers, self._inboxes,
-                                        self._lock)
-
-    def _worker(self) -> _Worker:
-        worker = getattr(self._local, "worker", None)
-        if worker is None or not self._closer.alive:
-            with self._lock:  # close() takes it too, so no worker slips past
-                if not self._closer.alive:
-                    raise RuntimeError("in-process target is closed")
-                worker = self._local.worker = _Worker(self.app, self._inboxes)
-        return worker
-
-    def _retire(self, worker: _Worker) -> None:
-        self._local.worker = None
-        worker.stop()
 
     def request(self, method: str, url_path: str, headers: dict[str, str],
                 body: bytes | None, timeout: float):
         path, _, query = url_path.partition("?")
-        worker = self._worker()
-        worker.inbox.put((method, path, query, headers, body or b""))
-        try:
-            ok, value = worker.outbox.get(timeout=timeout)
-        except queue.Empty:
-            self._retire(worker)
-            raise TransportError(TRANSPORT_TIMEOUT) from None
-        except BaseException:
-            self._retire(worker)
-            raise
-        if ok:
-            return value
-        raise value
+        return self.app.handle(method, path, query, headers, body or b"")
 
     def close(self) -> None:
-        self._closer()
+        """Nothing to release; a caller may close any target alike."""
+
+
+def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue,
+           claims: dict[int, bool]) -> None:
+    """A dispatcher thread: answer each call from ``inbox`` on ``outbox``
+    until a ``None`` arrives or a call of its own timed out.  A call's
+    exception is handed to the caller, which re-raises it."""
+    while (job := inbox.get()) is not None:
+        key, fn, args = job
+        try:
+            answer = (key, True, fn(*args))
+        except BaseException as exc:
+            answer = (key, False, exc)
+        if not claims.pop(key, False):
+            return  # timed out: ``wait`` answered it and replaced this thread
+        outbox.put(answer)
+
+
+class Dispatcher:
+    """``window`` long-lived threads that run the calls sent to them.
+
+    ``send(tag, fn, *args)`` queues ``fn(*args)``; :meth:`wait` returns the
+    answers under their tags.  A call that outlives ``timeout`` is answered
+    as a ``timeout`` result and its thread is retired: it exits when the
+    stalled call returns, its late answer dropped, and a fresh thread takes
+    its place.  Of that thread and :meth:`wait`, the one that pops the
+    call's own key from ``_claims`` answers it, even if its tag is sent
+    again.  Only the calling thread sends and waits.
+    """
+
+    def __init__(self, window: int, timeout: float):
+        self.timeout = timeout
+        self._window = window
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._claims: dict[int, bool] = {}
+        # key -> (deadline, tag), in send order: the first times out next
+        self._unanswered: dict[int, tuple[float, Any]] = {}
+        self._sent = 0
+        for _ in range(window):
+            self._start()
+
+    def _start(self) -> None:
+        threading.Thread(target=_serve, daemon=True, name="apifuzz-dispatch",
+                         args=(self._inbox, self._outbox, self._claims)).start()
+
+    def send(self, tag, fn: Callable, *args) -> None:
+        self._sent = key = self._sent + 1
+        self._unanswered[key] = (time.perf_counter() + self.timeout, tag)
+        self._claims[key] = True
+        self._inbox.put((key, fn, args))
+
+    def wait(self) -> list[tuple[Any, Any]]:
+        """Block until a call is answered or times out, then return every
+        answer there is as ``(tag, result)``, sorted by tag; a call's
+        exception is raised here instead."""
+        key, (deadline, _) = next(iter(self._unanswered.items()))
+        try:
+            answers = [self._outbox.get(
+                True, max(deadline - time.perf_counter(), 0.0))]
+        except queue.Empty:
+            if self._claims.pop(key, False):
+                self._start()
+                answers = [(key, True, HttpExchangeResult(
+                    status=None, transport_error=TRANSPORT_TIMEOUT,
+                    latency=time.perf_counter() - deadline + self.timeout))]
+            else:  # its thread claimed it first: the answer is coming
+                answers = [self._outbox.get()]
+        while not self._outbox.empty():
+            answers.append(self._outbox.get())
+        done, failed = [], None
+        for key, ok, value in answers:
+            done.append((self._unanswered.pop(key)[1], value))
+            if not ok:
+                failed = value
+        if failed is not None:
+            raise failed
+        done.sort()  # the tags in flight differ, so no result is compared
+        return done
+
+    def close(self) -> None:
+        """End each thread once the calls sent before are done; a retired
+        thread ends when its stalled call returns."""
+        for _ in range(self._window):
+            self._inbox.put(None)
 
 
 def execute(plan, target, timeout: float = DEFAULT_TIMEOUT) -> HttpExchangeResult:

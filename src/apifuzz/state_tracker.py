@@ -3,8 +3,8 @@
 The store answers one question per id: is it live, deleted or unknown.  It
 keeps no response bodies and no clock: a trace orders exchanges by the
 run's completion count.  It has one writer, the run loop's thread, which
-also does all reads, so predictions read the live store; the lock only
-keeps each mutation whole.
+also does all reads, so predictions read the live store and no mutation
+needs a lock.
 Past its cap the store evicts the id deleted longest ago, or the oldest id
 when none is deleted.  A prediction is the set of status classes a correct
 SUT could legitimately return for a planned request.
@@ -19,8 +19,6 @@ because an in-flight delete may win the race ("stale-possible" basis).
 
 from __future__ import annotations
 
-import json
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -57,7 +55,6 @@ class StateStore:
         self._lifecycles: OrderedDict[tuple[str, str], str] = OrderedDict()
         self._live: dict[str, dict[str, None]] = {}
         self._deleted: deque[tuple[str, str]] = deque()
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._lifecycles)
@@ -71,33 +68,31 @@ class StateStore:
 
     def upsert_live(self, resource: str, id_value: str) -> bool:
         """Record an id as live; refuses to resurrect a deleted one."""
-        with self._lock:
-            key = (resource, id_value)
-            lifecycle = self._lifecycles.get(key)
-            if lifecycle == DELETED:
-                return False
-            if lifecycle is None:
-                self._lifecycles[key] = LIVE
-                self._live.setdefault(resource, {})[id_value] = None
-                self._evict_locked()
-            return True
+        key = (resource, id_value)
+        lifecycle = self._lifecycles.get(key)
+        if lifecycle == DELETED:
+            return False
+        if lifecycle is None:
+            self._lifecycles[key] = LIVE
+            self._live.setdefault(resource, {})[id_value] = None
+            self._evict()
+        return True
 
     def mark_deleted(self, resource: str, id_value: str) -> bool:
         """Record an id as deleted, tracked or not (it is gone either way)."""
-        with self._lock:
-            key = (resource, id_value)
-            lifecycle = self._lifecycles.get(key)
-            if lifecycle == DELETED:
-                return False
-            self._lifecycles[key] = DELETED
-            self._deleted.append(key)
-            if lifecycle is None:
-                self._evict_locked()
-            else:
-                del self._live[resource][id_value]
-            return True
+        key = (resource, id_value)
+        lifecycle = self._lifecycles.get(key)
+        if lifecycle == DELETED:
+            return False
+        self._lifecycles[key] = DELETED
+        self._deleted.append(key)
+        if lifecycle is None:
+            self._evict()
+        else:
+            del self._live[resource][id_value]
+        return True
 
-    def _evict_locked(self) -> None:
+    def _evict(self) -> None:
         # Called after each new key, so at most one key is over the cap.
         if len(self._lifecycles) > self.cap:
             if self._deleted:
@@ -105,16 +100,6 @@ class StateStore:
             else:
                 resource, id_value = self._lifecycles.popitem(last=False)[0]
                 del self._live[resource][id_value]
-
-    def dump_snapshot(self) -> str:
-        """JSON debug dump of the store: each id with its lifecycle."""
-        snap = {
-            "instances": [
-                {"resource": resource, "id": id_value, "lifecycle": lifecycle}
-                for (resource, id_value), lifecycle in self._lifecycles.items()
-            ],
-        }
-        return json.dumps(snap, indent=2, sort_keys=True)
 
 
 # --- effect application ----------------------------------------------------------

@@ -12,15 +12,15 @@ different ids), and the result is emitted as a script that either reproduces
 the original finding (exit 0 in the CLI), does not (exit 1), or cannot be
 evaluated (exit 2).
 
-Replay is one loop that sends the steps in order and binds a producer's
-symbols when its answer is collected.  A script's window (``max_in_flight``,
-taken from the run) is the one switch on the replay side.  At 1 each step is
-sent on the calling thread and answered before the next one is built, the
-last answer is judged, a script runs once by default, and a symbol that does
-not resolve ends the replay.  Above 1 the steps are sent overlapped up to the
-window, a step first collects the producers it consumes, any answer counts, a
-script runs :data:`DEFAULT_RACE_ATTEMPTS` times by default, and a symbol that
-does not resolve only fails that attempt.
+Replay is one loop that sends the steps in order through a dispatcher and
+binds a producer's symbols when its answer is collected.  A script's window
+(``max_in_flight``, taken from the run) is the one switch on the replay
+side.  At 1 each step is answered before the next one is built, the last
+answer is judged, a script runs once by default, and a symbol that does not
+resolve ends the replay.  Above 1 the steps are sent overlapped up to the
+window, a step first collects the producers it consumes, any answer counts,
+a script runs :data:`DEFAULT_RACE_ATTEMPTS` times by default, and a symbol
+that does not resolve only fails that attempt.
 
 The minimizer treats symbolic producers and their consumers as atomic: when a
 candidate removal would orphan a consumer of a removed producer, the consumer
@@ -38,12 +38,11 @@ import math
 import re
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .checker import Finding, matching_response, validate_value
-from .http_driver import DEFAULT_TIMEOUT, execute, render_url
+from .http_driver import DEFAULT_TIMEOUT, Dispatcher, execute, render_url
 from .naming import DEFAULT_MATCH_THRESHOLD, tokenize
 from .semantic_model import SemanticModel
 from .spec_ingest import (
@@ -763,13 +762,13 @@ def _predicate_matches(predicate: dict, result) -> bool:
     return False
 
 
-def _replay_once(script: RecreateScript, target, timeout: float) -> bool:
+def _replay_once(script: RecreateScript, target, dispatcher) -> bool:
     """One attempt at the script's window.
 
-    At window 1 ``execute`` runs on this thread, each step is answered before
-    the next one is built, and the last answer is judged.  Above it, a step
-    first collects the steps it takes symbols from, a full window collects
-    its oldest exchange, and any answer counts.
+    A full window first collects whatever is answered, and a step then
+    collects the steps it takes symbols from.  At window 1 each step is
+    answered before the next one is built, and the last answer is judged;
+    above it, any answer counts.
     """
     window = script.max_in_flight
     first_judged = 0 if window > 1 else len(script.steps) - 1
@@ -780,42 +779,41 @@ def _replay_once(script: RecreateScript, target, timeout: float) -> bool:
         bound_by_step.setdefault(binding["producer_step"], []).append(
             (binding["variable"], binding["producer"][1]))
     symbols: dict[str, Any] = {}
-    pending: dict[int, Any] = {}
+    pending: set[int] = set()
     reproduced = False
 
-    def collect(idx: int, result) -> None:
+    def collect() -> None:
         nonlocal reproduced
-        if idx >= first_judged and not reproduced:
-            reproduced = _predicate_matches(script.expected_failure, result)
-        for variable, json_path in bound_by_step.get(idx, ()):
-            if result.transport_error or result.json_body is None:
-                raise SymbolResolutionFailure(
-                    f"producer step {idx} returned no JSON body "
-                    f"(status={result.status}, "
-                    f"transport={result.transport_error})")
-            symbols[variable] = walk_json_path(result.json_body, json_path)
+        answers = dispatcher.wait()
+        pending.difference_update(idx for idx, _ in answers)
+        for idx, result in answers:
+            if idx >= first_judged and not reproduced:
+                reproduced = _predicate_matches(script.expected_failure, result)
+            for variable, json_path in bound_by_step.get(idx, ()):
+                if result.transport_error or result.json_body is None:
+                    raise SymbolResolutionFailure(
+                        f"producer step {idx} returned no JSON body "
+                        f"(status={result.status}, "
+                        f"transport={result.transport_error})")
+                symbols[variable] = walk_json_path(result.json_body, json_path)
 
-    executor = ThreadPoolExecutor(max_workers=window) if window > 1 else None
     try:
         for idx, step in enumerate(script.steps):
-            if executor is None:
-                collect(idx, execute(_build_replay_plan(step, symbols),
-                                     target, timeout))
-                continue
-            for variable in sorted(_variables_in_step(step)):
-                producer = producer_step[variable]
-                if producer in pending:
-                    collect(producer, pending.pop(producer).result())
             while len(pending) >= window:
-                oldest = next(iter(pending))
-                collect(oldest, pending.pop(oldest).result())
-            pending[idx] = executor.submit(
-                execute, _build_replay_plan(step, symbols), target, timeout)
-        for idx in list(pending):
-            collect(idx, pending.pop(idx).result())
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+                collect()
+            if pending:  # never at window 1: the last step was collected
+                for variable in _variables_in_step(step):
+                    while producer_step[variable] in pending:
+                        collect()
+            dispatcher.send(idx, execute, _build_replay_plan(step, symbols),
+                            target, dispatcher.timeout)
+            pending.add(idx)
+        while pending:
+            collect()
+    except SymbolResolutionFailure:
+        while pending:  # the next attempt sends under the same tags
+            pending.difference_update(idx for idx, _ in dispatcher.wait())
+        raise
     return reproduced
 
 
@@ -824,8 +822,9 @@ def replay(script: RecreateScript, target,
            attempts: int | None = None) -> ReplayOutcome:
     """Execute a recreate script and judge whether the failure reproduced.
 
-    Raises :class:`SymbolResolutionFailure` when a producer response does not
-    yield a bound symbol (the CLI maps this to exit code 2).  With a window
+    Every attempt sends through one dispatcher of the script's window.  Raises
+    :class:`SymbolResolutionFailure` when a producer response does not yield
+    a bound symbol (the CLI maps this to exit code 2).  With a window
     above 1 the steps replay concurrently, and what a producer returns
     depends on how the window overlapped, so such an attempt only counts as
     not reproducing, and the failure is raised when no attempt resolved
@@ -835,19 +834,23 @@ def replay(script: RecreateScript, target,
     concurrent = script.max_in_flight > 1
     unresolved: SymbolResolutionFailure | None = None
     resolved = False
-    for attempt in range(1, max(attempts, 1) + 1):
-        try:
-            reproduced = _replay_once(script, target, timeout)
-        except SymbolResolutionFailure as exc:
-            if not concurrent:
-                raise
-            unresolved = exc
-            continue
-        if reproduced:
-            return ReplayOutcome("reproduced",
-                                 f"reproduced on attempt {attempt}/{attempts}",
-                                 attempts_used=attempt)
-        resolved = True
+    dispatcher = Dispatcher(script.max_in_flight, timeout)
+    try:
+        for attempt in range(1, max(attempts, 1) + 1):
+            try:
+                reproduced = _replay_once(script, target, dispatcher)
+            except SymbolResolutionFailure as exc:
+                if not concurrent:
+                    raise
+                unresolved = exc
+                continue
+            if reproduced:
+                return ReplayOutcome(
+                    "reproduced", f"reproduced on attempt {attempt}/{attempts}",
+                    attempts_used=attempt)
+            resolved = True
+    finally:
+        dispatcher.close()
     if unresolved is not None and not resolved:
         raise unresolved
     return ReplayOutcome("not-reproduced",

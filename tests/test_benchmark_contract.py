@@ -10,6 +10,7 @@ benchmark's source and fail instead.
 import ast
 import dataclasses
 import importlib
+import os
 import pathlib
 from types import ModuleType
 
@@ -163,3 +164,37 @@ def test_every_replayed_step_goes_through_the_wrapped_execute(window,
         target.close()
     assert outcome.outcome == "reproduced"
     assert sent == ["/customers", "/customers/c1", "/customers/c1"]
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_every_fuzz_request_goes_through_the_wrapped_execute_and_wait(
+        window, monkeypatch, bookshop_model, bookshop_sampling):
+    """The benchmark times the run loop's dispatch and its waiting by
+    wrapping ``generator.execute`` and ``generator.wait``; a request sent or
+    collected another way would not count."""
+    sent, collected = [], []
+    wrapped_execute, wrapped_wait = generator.execute, generator.wait
+
+    def counting_execute(plan, *args, **kwargs):
+        sent.append(plan.plan_id)
+        return wrapped_execute(plan, *args, **kwargs)
+
+    def counting_wait(*args, **kwargs):
+        answers = wrapped_wait(*args, **kwargs)
+        collected.extend(plan_id for plan_id, _ in answers)
+        return answers
+
+    monkeypatch.setattr(generator, "execute", counting_execute)
+    monkeypatch.setattr(generator, "wait", counting_wait)
+    config = generator.RunConfig(mode="concurrent", max_in_flight=window,
+                                 master_seed=1, max_requests=40,
+                                 stop_on_error=False)
+    target = InProcessTarget(BookshopApp())
+    try:
+        result = generator.run(config, bookshop_model, bookshop_sampling,
+                               target=target)
+    finally:
+        target.close()
+    os.unlink(result.trace_ref)
+    assert result.counters["requests_sent"] == 40
+    assert sorted(sent) == sorted(collected) == list(range(1, 41))

@@ -277,6 +277,55 @@ def test_fuzz_refuses_a_model_file_with_malformed_id_fields(
     assert capsys.readouterr().err.startswith("error: invalid model file")
 
 
+@pytest.mark.parametrize("file_config", [
+    {"weights": 5}, {"mixture": 5}, {"path_excludes": 5}, {"trace_path": 5},
+], ids=["weights", "mixture", "run-config-field", "path"])
+def test_fuzz_refuses_a_config_value_of_the_wrong_type(spec_file, tmp_path,
+                                                       capsys, file_config):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_config))
+    assert run_cli("fuzz", spec_file, "--config", str(config),
+                   "--endpoint", "http://127.0.0.1:9") == 2
+    assert capsys.readouterr().err.startswith("error: bad run configuration")
+
+
+def test_fuzz_refuses_a_missing_model_file(spec_file, tmp_path, capsys):
+    assert run_cli("fuzz", spec_file, "--model", str(tmp_path / "no.json"),
+                   "--endpoint", "http://127.0.0.1:9") == 2
+    assert capsys.readouterr().err.startswith("error: invalid model file")
+
+
+def test_model_refuses_a_missing_overrides_file(spec_file, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert run_cli("model", spec_file, "--out", str(out),
+                   "--overrides", str(tmp_path / "no.json")) == 1
+    assert capsys.readouterr().err.startswith("error: invalid overrides: ")
+    assert not out.exists()
+
+
+def test_fuzz_against_a_dead_endpoint_keeps_an_existing_trace(
+        spec_file, tmp_path, capsys):
+    trace = tmp_path / "apifuzz-trace.jsonl"
+    trace.write_text('{"trace_version": 3}\n{"event_id": 1}\n')
+    before = trace.read_bytes()
+    assert run_cli("fuzz", spec_file, "--endpoint", "http://127.0.0.1:9",
+                   "--trace", str(trace),
+                   "--report", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err.startswith("error: endpoint unreachable")
+    assert trace.read_bytes() == before
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_fuzz_refuses_an_unwritable_report_before_the_run(
+        spec_file, clean_server, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    assert run_cli("fuzz", spec_file, "--endpoint", clean_server.base_url,
+                   "--max-requests", "20", "--trace", str(trace),
+                   "--report", str(tmp_path / "no" / "r.json")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot open report file")
+    assert not trace.exists()
+
+
 def test_fuzz_writes_the_paths_the_config_file_names(spec_file, clean_server,
                                                      tmp_path):
     config = tmp_path / "run.json"
@@ -365,6 +414,15 @@ def test_minimize_against_a_dead_endpoint_exits_two(failing_trace, tmp_path,
     assert code == 2
     assert capsys.readouterr().err.startswith("error: endpoint unreachable")
     assert not os.path.exists(tmp_path / "s.json")
+
+
+def test_minimize_refuses_an_unwritable_out_before_minimizing(
+        failing_trace, tmp_path, capsys):
+    server, trace = failing_trace
+    capsys.readouterr()
+    assert run_cli("minimize", "--trace", trace, "--endpoint", server.base_url,
+                   "--out", str(tmp_path / "no" / "s.json")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot open script file")
 
 
 def test_minimize_an_event_without_findings_exits_two(failing_trace,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -439,22 +440,18 @@ def test_concurrent_window_one_equals_sequential(bookshop_ir, bookshop_model,
 
 def test_a_batch_that_finishes_together_is_traced_in_dispatch_order(
         bookshop_model, bookshop_sampling, monkeypatch):
-    from concurrent.futures import ALL_COMPLETED
-
     from apifuzz import generator
 
-    plan_of = {}  # id of an exchange result -> the plan it answered
     real_execute, real_wait = generator.execute, generator.wait
 
     def execute(plan, *args, **kwargs):
-        result = real_execute(plan, *args, **kwargs)
-        plan_of[id(result)] = plan.plan_id
-        return result
+        # Of 4 plans sent together, the first sent finishes last.
+        time.sleep(0.002 * (4 - (plan.plan_id - 1) % 4))
+        return real_execute(plan, *args, **kwargs)
 
-    def wait(futures, timeout=None, return_when=ALL_COMPLETED):
-        done, _ = real_wait(futures, return_when=ALL_COMPLETED)
-        return sorted(done, key=lambda f: plan_of[id(f.result())],
-                      reverse=True), set()
+    def wait(dispatcher):
+        time.sleep(0.03)  # the whole window finishes before it is collected
+        return real_wait(dispatcher)
 
     monkeypatch.setattr(generator, "execute", execute)
     monkeypatch.setattr(generator, "wait", wait)

@@ -1,4 +1,3 @@
-import gc
 import socket
 import sys
 import threading
@@ -12,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from apifuzz.http_driver import (
+    Dispatcher,
     InProcessTarget,
     NetworkTarget,
     TransportError,
@@ -89,8 +89,14 @@ def test_closed_port_reports_connection_refused():
 
 
 def test_in_process_stall_times_out_near_the_bound(target):
-    result = execute(Plan("GET", "/_admin/stall?seconds=2", {}, None),
-                     target, timeout=0.4)
+    dispatcher = Dispatcher(1, timeout=0.4)
+    try:
+        dispatcher.send(7, execute, Plan("GET", "/_admin/stall?seconds=2"),
+                        target, 0.4)
+        ((tag, result),) = dispatcher.wait()
+    finally:
+        dispatcher.close()
+    assert tag == 7
     assert result.transport_error == "timeout"
     assert 0.36 <= result.latency <= 0.44  # configured bound +/- 10%
 
@@ -227,22 +233,24 @@ def test_request_lines_are_requoted(raw_server):
     ]
 
 
-# --- the in-process dispatch worker ---------------------------------------------
+# --- the dispatcher ------------------------------------------------------------
 
 class _ScriptedApp:
-    """Answers ``GET /stall`` after a sleep, raises on ``GET /boom`` and
-    echoes the path of anything else."""
+    """Echoes the path and query of each request, after a sleep of the query's
+    seconds on ``GET /stall``; raises on ``GET /boom`` and ``GET /interrupt``."""
 
     def handle(self, method, path, query, headers, body):
         if path == "/stall":
-            time.sleep(0.5)
+            time.sleep(float(query))
         if path == "/boom":
             raise RuntimeError("handler blew up")
-        return 200, {}, path.encode()
+        if path == "/interrupt":
+            raise KeyboardInterrupt
+        return 200, {}, f"{path}?{query}".encode() if query else path.encode()
 
 
-def _worker_threads() -> set[threading.Thread]:
-    return {t for t in threading.enumerate() if t.name.startswith("inproc-")}
+def _dispatch_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name == "apifuzz-dispatch"}
 
 
 def _wait_until_gone(threads, seconds: float = 1.0) -> set[threading.Thread]:
@@ -255,15 +263,36 @@ def _wait_until_gone(threads, seconds: float = 1.0) -> set[threading.Thread]:
     return {t for t in threads if t.is_alive()}
 
 
+def _answer(dispatcher, tag, path):
+    dispatcher.send(tag, execute, Plan("GET", path), InProcessTarget(
+        _ScriptedApp()), 5)
+    ((got, result),) = dispatcher.wait()
+    assert got == tag
+    return result
+
+
 def test_request_after_a_timeout_gets_its_own_answer():
-    target = InProcessTarget(_ScriptedApp())
-    with pytest.raises(TransportError, match="^timeout$"):
-        target.request("GET", "/stall", {}, None, timeout=0.05)
-    started = time.perf_counter()
-    assert target.request("GET", "/next", {}, None, timeout=5) \
-        == (200, {}, b"/next")
-    assert time.perf_counter() - started < 0.1
-    target.close()
+    dispatcher = Dispatcher(1, timeout=0.05)
+    try:
+        assert _answer(dispatcher, 1, "/stall?0.5").transport_error \
+            == "timeout"
+        started = time.perf_counter()
+        assert _answer(dispatcher, 2, "/next").body == b"/next"
+        assert time.perf_counter() - started < 0.1
+    finally:
+        dispatcher.close()
+
+
+def test_a_late_answer_never_answers_a_call_sent_under_its_tag():
+    dispatcher = Dispatcher(1, timeout=0.3)
+    try:
+        assert _answer(dispatcher, 1, "/stall?0.5").transport_error \
+            == "timeout"
+        # The stalled call returns while this one, under the same tag, is
+        # still running.
+        assert _answer(dispatcher, 1, "/stall?0.25").body == b"/stall?0.25"
+    finally:
+        dispatcher.close()
 
 
 def test_handler_exception_is_raised_in_the_caller():
@@ -274,42 +303,34 @@ def test_handler_exception_is_raised_in_the_caller():
     target.close()
 
 
-def test_close_ends_the_workers_of_every_calling_thread():
-    before = _worker_threads()
-    target = InProcessTarget(_ScriptedApp())
-    answered, release = threading.Barrier(3, timeout=5), threading.Event()
-
-    def caller():
-        target.request("GET", "/x", {}, None, 5)
-        answered.wait()
-        release.wait(timeout=5)  # outlive close(), which must end the worker
-
-    callers = [threading.Thread(target=caller, name=f"caller-{i}")
-               for i in range(2)]
-    for thread in callers:
-        thread.start()
-    answered.wait()
-    started = _worker_threads() - before
-    assert {t.name for t in started} == {"inproc-caller-0", "inproc-caller-1"}
-    target.close()
+@pytest.mark.parametrize("path, raised", [("/boom", RuntimeError),
+                                          ("/interrupt", KeyboardInterrupt)])
+def test_a_dispatched_exception_is_raised_by_wait(path, raised):
+    dispatcher = Dispatcher(1, timeout=5)
     try:
-        assert not _wait_until_gone(started), "workers outlived close()"
+        with pytest.raises(raised):
+            _answer(dispatcher, 1, path)
+        assert _answer(dispatcher, 2, "/ok").body == b"/ok"
     finally:
-        release.set()
-        for thread in callers:
-            thread.join(timeout=5)
+        dispatcher.close()
 
 
-def test_a_worker_ends_with_its_calling_thread():
-    before = _worker_threads()
+def test_close_leaves_no_dispatcher_thread():
+    before = _dispatch_threads()
+    dispatcher = Dispatcher(2, timeout=0.05)
+    assert _answer(dispatcher, 1, "/stall?0.3").transport_error == "timeout"
+    assert _answer(dispatcher, 2, "/x").body == b"/x"
+    started = _dispatch_threads() - before
+    assert len(started) == 3  # the window, and one in a retired one's place
+    dispatcher.close()
+    assert not _wait_until_gone(started), "threads outlived close()"
+
+
+def test_in_process_target_starts_no_thread():
+    before = threading.active_count()
     target = InProcessTarget(_ScriptedApp())
-    caller = threading.Thread(target=target.request,
-                              args=("GET", "/x", {}, None, 5))
-    caller.start()
-    caller.join(timeout=5)
-    assert not caller.is_alive()
-    assert not _wait_until_gone(_worker_threads() - before), \
-        "worker outlived its caller"
+    assert target.request("GET", "/x", {}, None, timeout=5)[2] == b"/x"
+    assert threading.active_count() == before
     target.close()
 
 
@@ -339,12 +360,21 @@ def test_replies_never_cross_between_calling_threads():
     assert crossed == []
 
 
-def test_dropped_target_leaves_no_worker():
-    before = _worker_threads()
+def test_replies_never_cross_between_dispatched_tags():
     target = InProcessTarget(_ScriptedApp())
-    target.request("GET", "/x", {}, None, timeout=5)
-    started = _worker_threads() - before
-    assert len(started) == 1
-    del target
-    gc.collect()
-    assert not _wait_until_gone(started), "worker outlived its target"
+    dispatcher = Dispatcher(8, timeout=5)
+    answers = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for tag in range(1200):
+            if tag >= 8:  # keep 8 in flight
+                answers.update(dispatcher.wait())
+            dispatcher.send(tag, execute, Plan("GET", f"/{tag}"), target, 5)
+        while len(answers) < 1200:
+            answers.update(dispatcher.wait())
+    finally:
+        sys.setswitchinterval(interval)
+        dispatcher.close()
+    assert {tag: result.body for tag, result in answers.items()} \
+        == {tag: f"/{tag}".encode() for tag in range(1200)}

