@@ -3,9 +3,12 @@
 Every subcommand is scriptable: ``--json`` switches to machine-readable
 output, and exit codes are stable:
 
-* ``model``    — 0 ok; 1 error-grade lint findings under ``--strict``
+* ``model``    — 0 ok; 1 error-grade lint findings under ``--strict``, or
+  bad input (a spec, overrides or an unwritable ``--out``)
 * ``fuzz``     — 0 passed; 1 failed; 2 error (bad input, an unwritable
-  trace or report, an unreachable endpoint), found before the trace opens
+  trace or report, an unreachable endpoint), found before the trace opens.
+  Ctrl-C or SIGTERM stops a run as ``operator-stop``; the report is still
+  written, and the exit code is the verdict's
 * ``minimize`` — 0 ok; 2 error; 3 finding not reproducible on the full prefix
 * ``replay``   — 0 reproduced; 1 not reproduced; 2 error
 * ``report``   — 0
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from .checker import GRADE_ERROR
@@ -87,6 +91,11 @@ def _unreachable(target, timeout: float) -> bool:
     return True
 
 
+def _interrupt(signum, frame):
+    """SIGTERM stops a run as Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def _unwritable(path: str, what: str) -> bool:
     """Whether ``path`` cannot be written, found before any work: an
     existing file is opened for append and kept as it is, and a file this
@@ -110,6 +119,8 @@ def cmd_model(args) -> int:
         spec = _load_spec_arg(args.spec, args.format)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if _unwritable(args.out, "model file"):
         return 1
     findings = lint_spec(spec, args.threshold)
     model = infer_model(spec, args.threshold)
@@ -242,6 +253,7 @@ def cmd_fuzz(args) -> int:
                   f"in flight: {event.in_flight}", flush=True)
 
     result = None
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         result = run(config, model, sampling_spec, target=target,
                      trace_sink=sink, progress=progress)
@@ -249,6 +261,7 @@ def cmd_fuzz(args) -> int:
         print(f"error: endpoint unreachable: {exc}", file=sys.stderr)
         return 2
     finally:
+        signal.signal(signal.SIGTERM, previous)
         try:
             sink.close()
         except SinkWriteError as exc:

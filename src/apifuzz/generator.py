@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import tempfile
 import time
+import types
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, get_args, get_type_hints
 
 from .checker import (
     GRADE_ERROR,
@@ -76,6 +77,8 @@ class EndpointUnreachable(Exception):
 
 
 DEFAULT_WARMUP = 20
+# Seconds between two progress events of a run.
+PROGRESS_INTERVAL = 5.0
 
 
 @dataclass
@@ -127,9 +130,14 @@ class RunConfig:
     match_threshold: float = DEFAULT_MATCH_THRESHOLD
     store_cap: int = DEFAULT_STORE_CAP
     path_excludes: tuple[str, ...] = ("/_admin",)
-    progress_interval: float = 5.0
 
     def __post_init__(self):
+        for name, hint in _RUN_CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not _fits(value, hint):
+                kind = hint.__name__ if isinstance(hint, type) else hint
+                raise TypeError(f"run-config {name} must be {kind}, "
+                                f"not {value!r}")
         if self.mode not in ("sequential", "concurrent"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sequential":
@@ -146,10 +154,27 @@ class RunConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "progress_interval"}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["path_excludes"] = list(self.path_excludes)
         return out
+
+
+_RUN_CONFIG_TYPES = get_type_hints(RunConfig)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the type ``hint`` declares: an int fits a
+    float, a bool fits no number, and a list fits a tuple of its items."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in get_args(hint))
+    if hint is type(None):
+        return value is None
+    if isinstance(hint, types.GenericAlias):  # tuple[str, ...]
+        return isinstance(value, (list, tuple)) \
+            and all(_fits(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -391,7 +416,7 @@ class _RunState:
         if progress is None:
             return
         now = time.monotonic()
-        if now - self.last_progress < self.config.progress_interval:
+        if now - self.last_progress < PROGRESS_INTERVAL:
             return
         self.last_progress = now
         elapsed = self.elapsed()

@@ -101,12 +101,6 @@ class TraceEvent:
     latency: float = 0.0
     findings: list[Finding] = field(default_factory=list)
     dispatch_epoch: int = 0
-    # A store epoch in trace versions 1 and 2; from 3 on, the event's id.
-    completion_epoch: int | None = None
-
-    def __post_init__(self):
-        if self.completion_epoch is None:
-            self.completion_epoch = self.event_id
 
     def to_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -135,9 +129,10 @@ class TraceEvent:
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
         if not isinstance(data, dict) or type(data.get("event_id")) is not int \
-                or not isinstance(data.get("plan"), dict):
+                or not isinstance(data.get("plan"), dict) \
+                or type(data["plan"].get("plan_id")) is not int:
             raise ValueError("not an object with an integer event_id and "
-                             "a plan object")
+                             "a plan object with an integer plan_id")
         return cls(
             event_id=data["event_id"],
             plan=data["plan"],
@@ -151,7 +146,6 @@ class TraceEvent:
             latency=data.get("latency", 0.0),
             findings=[Finding.from_dict(f) for f in data.get("findings", [])],
             dispatch_epoch=data.get("dispatch_epoch", 0),
-            completion_epoch=data.get("completion_epoch"),
         )
 
 
@@ -309,17 +303,16 @@ class TraceSink:
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
-    """Load a trace file of version 1 to 3: (header, events).
+    """Load a trace file of version :data:`TRACE_VERSION`: (header, events).
 
-    Plans are loaded as written: from version 2 on they leave out
-    ``method`` and ``path_template``, which follow from the operation.  An
-    event without ``completion_epoch`` (version 3) completes at its own id.
     A last line without its newline that does not parse was torn by an
     interrupted write; it is skipped with a warning.  A malformed line
     anywhere else raises :class:`ValueError` naming it: one that does not
     parse, a header that is not an object, an event without an
-    ``event_id`` or a ``plan``, a finding without a ``grade``, ``kind`` or
-    ``detail``.  So does any other version.
+    ``event_id`` or a ``plan`` with a ``plan_id``, a finding without a
+    ``grade``, ``kind`` or ``detail``.  So does any other version: an
+    older trace runs on another clock, and the recreate script, not the
+    trace, is what a regression keeps.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -329,9 +322,10 @@ def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
         if not isinstance(header, dict):
             raise ValueError(f"trace file {path} line 1: the header is not "
                              f"an object")
-        if header.get("trace_version") not in range(1, TRACE_VERSION + 1):
+        if header.get("trace_version") != TRACE_VERSION:
             raise ValueError(
-                f"unsupported trace_version {header.get('trace_version')!r}")
+                f"unsupported trace_version {header.get('trace_version')!r}: "
+                f"only version-{TRACE_VERSION} traces are read")
         events = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -410,31 +404,27 @@ class _ProducerRegistry:
     """Produced id values with enough ordering data to judge true data flow.
 
     A producer is eligible for a consumer when it completed no later than the
-    consumer was generated (its value could have been in the state store) and
-    it completed strictly earlier (the store epochs of trace versions 1 and 2
-    can tie); among eligible producers the latest one wins.
+    consumer was generated (its value could have been in the state store):
+    its event id is at most the consumer's ``dispatch_epoch``, and so below
+    the consumer's own event id.  Among eligible producers the latest one
+    wins.
     """
 
     def __init__(self):
-        self._by_value: dict[str, list[tuple[int, int, str, str]]] = {}
+        self._by_value: dict[str, list[tuple[int, str, str]]] = {}
 
-    def add(self, value, event_id: int, completion_epoch: int,
-            json_path: str, key: str) -> None:
+    def add(self, value, event_id: int, json_path: str, key: str) -> None:
         self._by_value.setdefault(str(value), []).append(
-            (completion_epoch, event_id, json_path, key))
+            (event_id, json_path, key))
 
-    def latest_before(self, value, consumer_event_id: int,
-                      consumer_dispatch_epoch: int):
+    def latest_before(self, value, consumer_dispatch_epoch: int):
         entries = self._by_value.get(str(value))
         if not entries:
             return None
-        eligible = [e for e in entries
-                    if e[0] <= consumer_dispatch_epoch
-                    and e[1] < consumer_event_id]
+        eligible = [e for e in entries if e[0] <= consumer_dispatch_epoch]
         if not eligible:
             return None
-        _, event_id, json_path, key = max(eligible)
-        return event_id, json_path, key
+        return max(eligible)
 
 
 def _id_key_predicate(model: SemanticModel,
@@ -538,7 +528,7 @@ def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,
                             f"{location}[{i}]")
                 for i, v in enumerate(value)]
     if isinstance(value, (str, int)) and not isinstance(value, bool):
-        hit = registry.latest_before(value, consumer_eid, dispatch_epoch)
+        hit = registry.latest_before(value, dispatch_epoch)
         if hit is not None:
             event_id, json_path, key = hit
             sym_key = (event_id, json_path)
@@ -587,13 +577,11 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
             continue
         for json_path, key, value in _iter_produced_ids(event.body_json,
                                                         is_id_key):
-            registry.add(value, event.event_id, event.completion_epoch,
-                         json_path, key)
+            registry.add(value, event.event_id, json_path, key)
 
     # pass 2: emit steps in dispatch order, substituting eligible producers
-    dispatch_order = sorted(
-        completion_order,
-        key=lambda e: (e.plan.get("plan_id", e.event_id), e.event_id))
+    dispatch_order = sorted(completion_order,
+                            key=lambda e: (e.plan["plan_id"], e.event_id))
     event_step = {e.event_id: i for i, e in enumerate(dispatch_order)}
 
     operations = model.spec.operations_by_id()

@@ -1,8 +1,15 @@
 import inspect
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
+
+import apifuzz
 
 from apifuzz import cli
 from apifuzz.bookshop import bookshop_spec_document
@@ -137,6 +144,14 @@ def test_model_rejects_unparseable_spec(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert run_cli("model", str(bad), "--out", str(tmp_path / "m.json")) == 1
+
+
+def test_model_refuses_an_unwritable_out_before_inference(spec_file, tmp_path,
+                                                         capsys):
+    out = str(tmp_path / "no" / "m.json")
+    assert run_cli("model", spec_file, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open model file") and out in err
 
 
 # --- fuzz --------------------------------------------------------------------------
@@ -279,14 +294,23 @@ def test_fuzz_refuses_a_model_file_with_malformed_id_fields(
 
 @pytest.mark.parametrize("file_config", [
     {"weights": 5}, {"mixture": 5}, {"path_excludes": 5}, {"trace_path": 5},
-], ids=["weights", "mixture", "run-config-field", "path"])
-def test_fuzz_refuses_a_config_value_of_the_wrong_type(spec_file, tmp_path,
-                                                       capsys, file_config):
+    {"max_requests": "5"}, {"duration_limit": "30"},
+    {"stop_on_error": "no", "max_requests": 20},
+], ids=["weights", "mixture", "run-config-field", "path", "max-requests",
+        "duration-limit", "stop-on-error"])
+def test_fuzz_refuses_a_config_value_of_the_wrong_type(
+        spec_file, clean_server, tmp_path, capsys, file_config):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(file_config))
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"trace_version": 3}\n')
+    before = trace.read_bytes()
     assert run_cli("fuzz", spec_file, "--config", str(config),
-                   "--endpoint", "http://127.0.0.1:9") == 2
+                   "--endpoint", clean_server.base_url,
+                   "--trace", str(trace),
+                   "--report", str(tmp_path / "r.json")) == 2
     assert capsys.readouterr().err.startswith("error: bad run configuration")
+    assert trace.read_bytes() == before
 
 
 def test_fuzz_refuses_a_missing_model_file(spec_file, tmp_path, capsys):
@@ -324,6 +348,46 @@ def test_fuzz_refuses_an_unwritable_report_before_the_run(
                    "--report", str(tmp_path / "no" / "r.json")) == 2
     assert capsys.readouterr().err.startswith("error: cannot open report file")
     assert not trace.exists()
+
+
+def _python(*argv) -> subprocess.Popen:
+    """``python *argv`` with this checkout's ``src`` first on the path."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(apifuzz.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, *argv], env=env,
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def test_sigterm_ends_a_fuzz_run_as_ctrl_c_does(spec_file, tmp_path):
+    """The run stops as ``operator-stop``, writes its report and exits by
+    its verdict; its trace holds every exchange the report counts."""
+    server = _python("-m", "apifuzz.bookshop", "--port", "0")
+    fuzz = None
+    try:
+        url = re.search(r"listening on (\S+)", server.stdout.readline())[1]
+        trace, report = tmp_path / "t.jsonl", tmp_path / "r.json"
+        fuzz = _python("-m", "apifuzz.cli", "fuzz", spec_file,
+                       "--endpoint", url, "--duration", "60",
+                       "--trace", str(trace), "--report", str(report))
+        deadline = time.monotonic() + 30
+        while not trace.exists() or len(trace.read_bytes().splitlines()) < 2:
+            assert time.monotonic() < deadline, "no events traced"
+            time.sleep(0.05)
+        fuzz.send_signal(signal.SIGTERM)
+        code = fuzz.wait(timeout=30)
+        run = json.loads(report.read_text())["run"]
+        assert code == (0 if run["verdict"] == "passed" else 1)
+        assert run["stop_reason"] == "operator-stop"
+        _, events = read_trace(str(trace))
+        assert len(events) == run["counters"]["requests_sent"]
+    finally:
+        for proc in (fuzz, server):
+            if proc is not None:
+                proc.kill()
+                proc.communicate()
 
 
 def test_fuzz_writes_the_paths_the_config_file_names(spec_file, clean_server,

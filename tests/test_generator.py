@@ -528,10 +528,12 @@ def test_ctrl_c_stops_the_run_and_keeps_the_trace(bookshop_model,
 
 
 def test_progress_events_are_emitted(bookshop_ir, bookshop_model,
-                                     bookshop_sampling):
+                                     bookshop_sampling, monkeypatch):
+    from apifuzz import generator
+
     seen = []
-    config = RunConfig(master_seed=0, max_requests=4000,
-                       progress_interval=0.05)
+    monkeypatch.setattr(generator, "PROGRESS_INTERVAL", 0.05)
+    config = RunConfig(master_seed=0, max_requests=4000)
     target = InProcessTarget(BookshopApp())
     result = run(config, bookshop_model, bookshop_sampling,
                  target=target, progress=seen.append)

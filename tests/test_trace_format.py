@@ -1,5 +1,5 @@
 """The trace format: what an event keeps, how the sink writes it, and that
-a version-1 trace still loads, binds, reports and shrinks the same."""
+a trace of another version or with a malformed line is refused."""
 
 import json
 import os
@@ -24,17 +24,12 @@ from apifuzz.trace_recreate import (
     _id_key_predicate,
     _iter_produced_ids,
     _project_ids,
-    bind_symbols,
-    build_replay_oracle,
     make_trace_event,
-    minimize,
-    producer_dependencies,
     read_trace,
 )
 
-V1_TRACE = pathlib.Path(__file__).parent / "data" / "bookshop-v1.trace.jsonl"
-V1_BUG = "delete-customer-500"
-V1_CONFIG = dict(master_seed=3, max_requests=60, stop_on_error=False)
+BUG = "delete-customer-500"
+RUN = dict(master_seed=3, max_requests=60, stop_on_error=False)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +139,7 @@ def _fuzz(bookshop_model, bookshop_sampling, path, toggles=(), **config):
 def test_clean_events_leave_out_request_lines_and_headers(
         tmp_path, bookshop_model, bookshop_sampling):
     path = str(tmp_path / "current.jsonl")
-    _fuzz(bookshop_model, bookshop_sampling, path, [V1_BUG], **V1_CONFIG)
+    _fuzz(bookshop_model, bookshop_sampling, path, [BUG], **RUN)
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         records = [json.loads(line) for line in fh]
@@ -169,7 +164,7 @@ PLAN_KEYS = {"plan_id", "operation", "body", "headers", "path_params", "query"}
 def test_plans_keep_only_what_replay_and_report_read(
         tmp_path, bookshop_model, bookshop_sampling):
     path = str(tmp_path / "current.jsonl")
-    _fuzz(bookshop_model, bookshop_sampling, path, [V1_BUG], **V1_CONFIG)
+    _fuzz(bookshop_model, bookshop_sampling, path, [BUG], **RUN)
     _, events = read_trace(path)
     assert len(events) == 60
     for event in events:
@@ -178,110 +173,45 @@ def test_plans_keep_only_what_replay_and_report_read(
                for e in events)
 
 
-# --- version 1 ------------------------------------------------------------------------
+# --- refused traces ------------------------------------------------------------------
 
-def _current_of_the_v1_run(tmp_path, bookshop_model, bookshop_sampling) -> str:
-    """The run that wrote ``tests/data/bookshop-v1.trace.jsonl`` with the
-    code before trace version 2, in the current format.
-
-    The version-1 file was written at commit 268cb37 by this, run from
-    ``tests/data`` with that commit's ``src`` on ``PYTHONPATH``::
-
-        from apifuzz.bookshop import BookshopApp, bookshop_spec
-        from apifuzz.generator import RunConfig, run, trace_header
-        from apifuzz.http_driver import InProcessTarget
-        from apifuzz.sampling import build_sampling_spec
-        from apifuzz.semantic_model import infer_model
-        from apifuzz.trace_recreate import TraceSink
-        ir = bookshop_spec(); model = infer_model(ir)
-        config = RunConfig(master_seed=3, max_requests=60, stop_on_error=False)
-        sink = TraceSink.to_path("bookshop-v1.trace.jsonl",
-                                 trace_header(config, model))
-        target = InProcessTarget(BookshopApp(toggles=["delete-customer-500"]))
-        run(config, model, build_sampling_spec(ir, model), target=target,
-            trace_sink=sink)
-        sink.close(); target.close()
-    """
-    path = str(tmp_path / "current.jsonl")
-    _fuzz(bookshop_model, bookshop_sampling, path, [V1_BUG], **V1_CONFIG)
-    return path
+@pytest.fixture(scope="module")
+def fuzzed_records(tmp_path_factory, bookshop_model, bookshop_sampling):
+    """The records of a 60-event trace with findings, header first."""
+    path = str(tmp_path_factory.mktemp("fuzzed") / "trace.jsonl")
+    _fuzz(bookshop_model, bookshop_sampling, path, [BUG], **RUN)
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
-def _event_bytes(path) -> int:
-    with open(path, "rb") as fh:
-        fh.readline()
-        return len(fh.read())
-
-
-def _failing_prefix(events):
-    last = max(e.event_id for e in events
-               if any(f.grade == "error" for f in e.findings))
-    return [e for e in events if e.event_id <= last]
-
-
-def test_a_v1_trace_loads_and_binds_like_v2(tmp_path, bookshop_model,
-                                            bookshop_sampling, capsys):
-    current_path = _current_of_the_v1_run(tmp_path, bookshop_model,
-                                          bookshop_sampling)
-    v1_header, v1 = read_trace(str(V1_TRACE))
-    current_header, current = read_trace(current_path)
-    assert v1_header["trace_version"] == 1
-    assert current_header["trace_version"] == TRACE_VERSION
-    assert _event_bytes(current_path) < 0.6 * _event_bytes(V1_TRACE)
-    assert [e.event_id for e in v1] == [e.event_id for e in current]
-    for old, new in zip(v1, current):
-        assert (old.status, old.findings, old.plan["operation"]) == \
-            (new.status, new.findings, new.plan["operation"])
-        assert "method" in old.plan and "method" not in new.plan
-    assert any({"value_tags", "reference_values", "target_id_param"}
-               <= set(e.plan) for e in v1)
-
-    v1_prefix, current_prefix = _failing_prefix(v1), _failing_prefix(current)
-    script = bind_symbols(current_prefix, bookshop_model)
-    assert script.bindings
-    assert bind_symbols(v1_prefix, bookshop_model).to_json() == script.to_json()
-
-    reports = []
-    for path in (str(V1_TRACE), current_path):
-        assert cli.main(["report", "--trace", path, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        del report["trace"]
-        reports.append(report)
-    assert reports[0] == reports[1]
-    assert reports[0]["events"] == 60 and reports[0]["error_findings"]
-
-
-def test_a_v1_trace_shrinks_like_v2(tmp_path, bookshop_model,
-                                    bookshop_sampling):
-    current_path = _current_of_the_v1_run(tmp_path, bookshop_model,
-                                          bookshop_sampling)
-    sizes = []
-    for path in (str(V1_TRACE), current_path):
-        _, events = read_trace(path)
-        prefix = _failing_prefix(events)
-        expected = trace_recreate.expected_failure_for(
-            prefix[-1], bookshop_model.spec)
-        oracle = build_replay_oracle(
-            bookshop_model, expected,
-            lambda: InProcessTarget(BookshopApp(toggles=[V1_BUG],
-                                                randomize_ids=True)))
-        result = minimize(prefix, prefix[-1].event_id, oracle,
-                          producer_dependencies(prefix, bookshop_model))
-        assert result.proven_minimal
-        sizes.append((len(result.events), result.oracle_calls))
-    assert sizes[0] == sizes[1]
-
-
-def test_a_later_trace_version_is_refused(tmp_path):
-    lines = V1_TRACE.read_text(encoding="utf-8").splitlines(keepends=True)
-    header = json.loads(lines[0])
-    header["trace_version"] = TRACE_VERSION + 1
-    path = tmp_path / "later.jsonl"
-    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]),
+def _write(path, records) -> str:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
                     encoding="utf-8")
+    return str(path)
+
+
+def _cli_cannot_read(path, capsys) -> None:
+    """``report`` and ``minimize`` both exit 2, saying they cannot read it."""
+    assert cli.main(["report", "--trace", path]) == 2
+    assert cli.main(["minimize", "--trace", path,
+                     "--endpoint", "http://127.0.0.1:9"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: cannot read trace: ") for line in err)
+
+
+@pytest.mark.parametrize("version", [1, 2, TRACE_VERSION + 1],
+                         ids=["v1", "v2", "later"])
+def test_a_trace_of_another_version_is_refused(tmp_path, capsys,
+                                               fuzzed_records, version):
+    records = json.loads(json.dumps(fuzzed_records))
+    records[0]["trace_version"] = version
+    path = _write(tmp_path / "other.jsonl", records)
     with pytest.raises(ValueError,
-                       match=f"unsupported trace_version {TRACE_VERSION + 1}"):
-        read_trace(str(path))
+                       match=f"unsupported trace_version {version}: only "
+                             f"version-{TRACE_VERSION} traces are read"):
+        read_trace(path)
+    _cli_cannot_read(path, capsys)
 
 
 def _with_findings(records):
@@ -293,6 +223,8 @@ def _with_findings(records):
     (lambda records: records[1].pop("event_id"), 2),
     (lambda records: records[1].pop("plan"), 2),
     (lambda records: records[1].__setitem__("plan", "POST /authors"), 2),
+    (lambda records: records[1]["plan"].pop("plan_id"), 2),
+    (lambda records: records[1]["plan"].__setitem__("plan_id", "1"), 2),
     (lambda records: _with_findings(records)["findings"][0].pop("grade"),
      None),
     (lambda records: _with_findings(records)["findings"][0].pop("kind"), None),
@@ -300,37 +232,28 @@ def _with_findings(records):
      None),
     (lambda records: _with_findings(records).__setitem__("findings", 5), None),
 ], ids=["header-not-object", "no-event-id", "no-plan", "plan-not-object",
+        "no-plan-id", "plan-id-not-an-int",
         "no-grade", "no-kind", "no-detail", "findings-not-a-list"])
 def test_a_malformed_trace_is_refused_naming_its_line(tmp_path, capsys,
+                                                      fuzzed_records,
                                                       mutate, lineno):
-    records = [json.loads(line) for line in
-               V1_TRACE.read_text(encoding="utf-8").splitlines()]
+    records = json.loads(json.dumps(fuzzed_records))
     if lineno is None:
         lineno = 1 + records.index(_with_findings(records))
     mutate(records)
-    path = tmp_path / "bad.jsonl"
-    path.write_text("".join(json.dumps(r) + "\n" for r in records),
-                    encoding="utf-8")
+    path = _write(tmp_path / "bad.jsonl", records)
     with pytest.raises(ValueError, match=f"line {lineno}\\b"):
-        read_trace(str(path))
-    assert cli.main(["report", "--trace", str(path)]) == 2
-    assert cli.main(["minimize", "--trace", str(path),
-                     "--endpoint", "http://127.0.0.1:9"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2
-    assert all(line.startswith("error: cannot read trace: ") for line in err)
+        read_trace(path)
+    _cli_cannot_read(path, capsys)
 
 
 @pytest.mark.parametrize("key", ["spec_ir", "model"])
 def test_minimize_refuses_a_trace_header_without_its_spec_or_model(
-        tmp_path, capsys, key):
-    records = [json.loads(line) for line in
-               V1_TRACE.read_text(encoding="utf-8").splitlines()]
+        tmp_path, capsys, fuzzed_records, key):
+    records = json.loads(json.dumps(fuzzed_records))
     records[0].pop(key)
-    path = tmp_path / "bad.jsonl"
-    path.write_text("".join(json.dumps(r) + "\n" for r in records),
-                    encoding="utf-8")
-    assert cli.main(["minimize", "--trace", str(path),
+    path = _write(tmp_path / "bad.jsonl", records)
+    assert cli.main(["minimize", "--trace", path,
                      "--endpoint", "http://127.0.0.1:9"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read trace: ")
 

@@ -46,27 +46,14 @@ from conftest import json_response, minimal_spec_doc
 
 # --- helpers ----------------------------------------------------------------------
 
-def plan_dict(op, method, template, path_params=None, body=None, query=None,
-              plan_id=1, resource=None, crud="read"):
-    return {
-        "plan_id": plan_id,
-        "operation": op,
-        "resource": resource or op.split("/")[1].rstrip("s"),
-        "crud_kind": crud,
-        "method": method,
-        "path_template": template,
-        "concrete_url": template,
-        "headers": {},
-        "body": body,
-        "path_params": path_params or {},
-        "query": query or {},
-        "value_tags": {},
-        "violated": {},
-        "reference_values": {},
-        "target_id_param": None,
-        "resource_id_fields": [],
-        "declared_status_patterns": ["200", "201", "204", "400", "404"],
-    }
+def plan_dict(op, path_params=None, body=None, query=None, plan_id=1):
+    """A plan as a run traces it (``RequestPlan.to_wire_dict``)."""
+    plan = {"plan_id": plan_id, "operation": op, "body": body}
+    if path_params:
+        plan["path_params"] = path_params
+    if query:
+        plan["query"] = query
+    return plan
 
 
 def event(event_id, plan, status=200, body=None, findings=(),
@@ -95,7 +82,7 @@ def _no_ids(key):
 def test_record_single_event(tmp_path):
     path = str(tmp_path / "t.jsonl")
     sink = TraceSink.to_path(path, {"note": "test"})
-    sink.append(event(1, plan_dict("GET /books", "GET", "/books")))
+    sink.append(event(1, plan_dict("GET /books")))
     sink.close()
     lines = open(path).read().splitlines()
     assert len(lines) == 2  # header + one record
@@ -107,7 +94,7 @@ def test_record_thousand_events(tmp_path):
     path = str(tmp_path / "t.jsonl")
     sink = TraceSink.to_path(path, {})
     for i in range(1, 1001):
-        sink.append(event(i, plan_dict("GET /books", "GET", "/books")))
+        sink.append(event(i, plan_dict("GET /books")))
     sink.close()
     header, events = read_trace(path)
     assert len(events) == 1000
@@ -132,7 +119,7 @@ def test_sink_write_error_on_failing_volume(tmp_path):
 def test_trace_round_trip_preserves_events(tmp_path):
     path = str(tmp_path / "t.jsonl")
     sink = TraceSink.to_path(path, {})
-    original = event(1, plan_dict("GET /books", "GET", "/books"),
+    original = event(1, plan_dict("GET /books"),
                      status=500, body={"error": "x"},
                      findings=[error_finding(exchange_ref=1, observed=500)])
     sink.append(original)
@@ -144,7 +131,7 @@ def test_trace_round_trip_preserves_events(tmp_path):
 def _trace_with_two_events(path):
     sink = TraceSink.to_path(path, {})
     for eid in (1, 2):
-        sink.append(event(eid, plan_dict("GET /books", "GET", "/books")))
+        sink.append(event(eid, plan_dict("GET /books")))
     sink.close()
 
 
@@ -175,7 +162,7 @@ def test_oversized_bodies_are_truncated():
     result = HttpExchangeResult(status=200,
                                 headers={"Content-Type": "application/json"},
                                 body=big, json_body=json.loads(big))
-    ev = make_trace_event(1, plan_dict("GET /books", "GET", "/books"),
+    ev = make_trace_event(1, plan_dict("GET /books"),
                           result, [error_finding()], is_id_key=_no_ids)
     assert ev.body_json["__truncated__"] is True
     assert ev.body_json["bytes"] == len(big)
@@ -184,7 +171,7 @@ def test_oversized_bodies_are_truncated():
 
 def test_non_utf8_bodies_are_base64():
     result = HttpExchangeResult(status=200, headers={}, body=b"\xff\xfe\x01")
-    ev = make_trace_event(1, plan_dict("GET /x", "GET", "/x"), result,
+    ev = make_trace_event(1, plan_dict("GET /x"), result,
                           [error_finding()], is_id_key=_no_ids)
     assert ev.body_b64 is not None and ev.body_json is None
 
@@ -258,14 +245,10 @@ def test_walk_json_path():
 
 def test_bind_symbols_create_then_get(bookshop_model):
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           body={"name": "Ada"}, crud="create",
-                           resource="customer"),
+        event(1, plan_dict("POST /customers", body={"name": "Ada"}),
               status=201, body={"customerId": "c7", "name": "Ada"}),
-        event(2, plan_dict("GET /customers/{customerId}", "GET",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "c7"},
-                           resource="customer"),
+        event(2, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "c7"}),
               status=500, body={"error": "boom"},
               findings=[error_finding(observed=500)]),
     ]
@@ -282,11 +265,9 @@ def test_bind_symbols_create_then_get(bookshop_model):
 
 def test_bind_symbols_no_cross_literals_means_no_bindings(bookshop_model):
     events = [
-        event(1, plan_dict("GET /books", "GET", "/books"), status=200, body=[]),
-        event(2, plan_dict("GET /customers/{customerId}", "GET",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "z42"},
-                           resource="customer"),
+        event(1, plan_dict("GET /books"), status=200, body=[]),
+        event(2, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "z42"}),
               status=500, body={"error": "x"},
               findings=[error_finding()]),
     ]
@@ -299,16 +280,12 @@ def test_bind_symbols_prefers_latest_producer(bookshop_model):
     # the same id value is produced at events 1 and 2; the consumer at 3
     # must bind to event 2
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           crud="create", resource="customer"),
+        event(1, plan_dict("POST /customers"),
               status=201, body={"customerId": "c1"}),
-        event(2, plan_dict("GET /customers", "GET", "/customers",
-                           crud="read-list", resource="customer"),
+        event(2, plan_dict("GET /customers"),
               status=200, body=[{"customerId": "c1"}]),
-        event(3, plan_dict("GET /customers/{customerId}", "GET",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "c1"},
-                           resource="customer"),
+        event(3, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "c1"}),
               status=500, body={"error": "x"},
               findings=[error_finding()]),
     ]
@@ -323,17 +300,14 @@ def test_bind_symbols_skips_a_producer_that_completed_after_generation(
     """Events as a window-2 run writes them: the read was generated once one
     exchange had completed, so the create, which completed second, cannot
     have given it its id."""
-    create = plan_dict("POST /customers", "POST", "/customers",
-                       body={"name": "Ada"}, crud="create",
-                       resource="customer", plan_id=2)
-    read = plan_dict("GET /customers/{customerId}", "GET",
-                     "/customers/{customerId}",
-                     path_params={"customerId": "c7"}, resource="customer",
+    create = plan_dict("POST /customers", body={"name": "Ada"}, plan_id=2)
+    read = plan_dict("GET /customers/{customerId}",
+                     path_params={"customerId": "c7"},
                      plan_id=3)
 
     def trace(read_dispatch_epoch):
         records = [
-            event(1, plan_dict("GET /books", "GET", "/books"), body=[],
+            event(1, plan_dict("GET /books"), body=[],
                   dispatch_epoch=0),
             event(2, create, status=201, body={"customerId": "c7"},
                   dispatch_epoch=0),
@@ -352,11 +326,9 @@ def test_bind_symbols_skips_a_producer_that_completed_after_generation(
 
 def test_bind_symbols_binds_body_array_elements(bookshop_model):
     events = [
-        event(1, plan_dict("POST /books", "POST", "/books", crud="create",
-                           resource="book"),
+        event(1, plan_dict("POST /books"),
               status=201, body={"bookId": "b3"}),
-        event(2, plan_dict("POST /orders", "POST", "/orders", crud="create",
-                           resource="order",
+        event(2, plan_dict("POST /orders",
                            body={"customerId": "z1", "bookIds": ["b3"]}),
               status=500, body={"error": "x"},
               findings=[error_finding()]),
@@ -370,13 +342,10 @@ def test_bind_symbols_binds_body_array_elements(bookshop_model):
 
 def test_script_json_round_trip(bookshop_model):
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           crud="create", resource="customer"),
+        event(1, plan_dict("POST /customers"),
               status=201, body={"customerId": "c7"}),
-        event(2, plan_dict("DELETE /customers/{customerId}", "DELETE",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "c7"}, crud="delete",
-                           resource="customer"),
+        event(2, plan_dict("DELETE /customers/{customerId}",
+                           path_params={"customerId": "c7"}),
               status=500, body={"error": "x"},
               findings=[error_finding()]),
     ]
@@ -416,8 +385,7 @@ def test_schema_predicate_takes_the_response_the_checker_matched():
         "responses": {"default": json_response(error),
                       "2XX": json_response(error),
                       "200": json_response(item)}}}}))
-    failing = event(1, plan_dict("GET /things/{thingId}", "GET",
-                                 "/things/{thingId}",
+    failing = event(1, plan_dict("GET /things/{thingId}",
                                  path_params={"thingId": "t1"}),
                     status=200, body={},
                     findings=[error_finding("schema-violation",
@@ -479,14 +447,10 @@ def test_undefined_status_predicate_comes_from_the_finding():
 
 def _two_step_script(bookshop_model):
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           body={"name": "Ada"}, crud="create",
-                           resource="customer"),
+        event(1, plan_dict("POST /customers", body={"name": "Ada"}),
               status=201, body={"customerId": "c1", "name": "Ada"}),
-        event(2, plan_dict("DELETE /customers/{customerId}", "DELETE",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "c1"}, crud="delete",
-                           resource="customer"),
+        event(2, plan_dict("DELETE /customers/{customerId}",
+                           path_params={"customerId": "c1"}),
               status=500, body={"error": "boom"},
               findings=[error_finding(observed=500)]),
     ]
@@ -583,17 +547,13 @@ class _SlowProducerLog:
 
 def test_window_two_collects_a_producer_before_sending_its_consumers(
         bookshop_model):
-    read = ("GET /customers/{customerId}", "GET", "/customers/{customerId}")
+    read = "GET /customers/{customerId}"
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           body={"name": "Ada"}, crud="create",
-                           resource="customer", plan_id=1),
+        event(1, plan_dict("POST /customers", body={"name": "Ada"}, plan_id=1),
               status=201, body={"customerId": "c1", "name": "Ada"}),
-        event(2, plan_dict(*read, path_params={"customerId": "c1"},
-                           resource="customer", plan_id=2),
+        event(2, plan_dict(read, path_params={"customerId": "c1"}, plan_id=2),
               status=200),
-        event(3, plan_dict(*read, path_params={"customerId": "c1"},
-                           resource="customer", plan_id=3),
+        event(3, plan_dict(read, path_params={"customerId": "c1"}, plan_id=3),
               status=500, body={"error": "x"}, findings=[error_finding()]),
     ]
     script = bind_symbols(events, bookshop_model, max_in_flight=2, attempts=1)
@@ -822,14 +782,10 @@ def test_replay_symbol_resolution_failure_when_producer_fails(bookshop_model):
     # the producer create is invalid (empty name), so it 400s and never
     # yields $customer_id
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           body={"name": "Ada"}, crud="create",
-                           resource="customer"),
+        event(1, plan_dict("POST /customers", body={"name": "Ada"}),
               status=201, body={"customerId": "c1"}),
-        event(2, plan_dict("GET /customers/{customerId}", "GET",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "c1"},
-                           resource="customer"),
+        event(2, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "c1"}),
               status=500, body={"error": "x"},
               findings=[error_finding()]),
     ]
@@ -860,11 +816,10 @@ class _FlakyListBookshop:
 
 def _list_then_read_events():
     return [
-        event(1, plan_dict("GET /books", "GET", "/books", resource="book",
-                           crud="read-list"),
+        event(1, plan_dict("GET /books"),
               status=200, body=[{"bookId": "b1"}]),
-        event(2, plan_dict("GET /books/{bookId}", "GET", "/books/{bookId}",
-                           path_params={"bookId": "b1"}, resource="book"),
+        event(2, plan_dict("GET /books/{bookId}",
+                           path_params={"bookId": "b1"}),
               status=500, body={"error": "x"}, findings=[error_finding()]),
     ]
 
@@ -987,10 +942,8 @@ def test_concurrent_replay_reproduces_race(bookshop_model):
 
 def test_minimize_already_minimal_trace_unchanged(bookshop_model):
     events = [
-        event(1, plan_dict("GET /customers/{customerId}", "GET",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "z9"},
-                           resource="customer"),
+        event(1, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "z9"}),
               status=500, body={"error": "x"},
               findings=[error_finding(exchange_ref=1)]),
     ]
@@ -1006,10 +959,8 @@ def test_minimize_already_minimal_trace_unchanged(bookshop_model):
 
 def test_minimize_flaky_failure_raises_not_reproducible(bookshop_model):
     events = [
-        event(1, plan_dict("GET /customers/{customerId}", "GET",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "z9"},
-                           resource="customer"),
+        event(1, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "z9"}),
               status=500, body={"error": "x"},
               findings=[error_finding()]),
     ]
@@ -1030,9 +981,9 @@ def test_minimize_missing_event_raises(bookshop_model):
 
 
 def test_minimize_budget_exhaustion_returns_best_so_far():
-    plans = [plan_dict(f"GET /x{i}", "GET", f"/x{i}") for i in range(12)]
+    plans = [plan_dict(f"GET /x{i}") for i in range(12)]
     events = [event(i + 1, p) for i, p in enumerate(plans)]
-    events.append(event(13, plan_dict("GET /boom", "GET", "/boom"),
+    events.append(event(13, plan_dict("GET /boom"),
                         status=500, findings=[error_finding()]))
 
     def oracle(candidate):  # failure needs event 13 only
@@ -1046,9 +997,9 @@ def test_minimize_budget_exhaustion_returns_best_so_far():
 
 def test_minimize_keeps_only_required_chain():
     # failure reproduces iff events 3 (producer) and 13 (failing) are present
-    events = [event(i, plan_dict(f"GET /pad{i}", "GET", f"/pad{i}"))
+    events = [event(i, plan_dict(f"GET /pad{i}"))
               for i in range(1, 13)]
-    events.append(event(13, plan_dict("GET /boom", "GET", "/boom"),
+    events.append(event(13, plan_dict("GET /boom"),
                         status=500, findings=[error_finding()]))
 
     def oracle(candidate):
@@ -1066,15 +1017,12 @@ def test_minimize_keeps_only_required_chain():
 def test_minimize_cascades_consumers_of_removed_producers():
     # dependency: 2 consumes 1; failing event 3 is independent
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           crud="create", resource="customer"),
+        event(1, plan_dict("POST /customers"),
               status=201, body={"customerId": "c1"}),
-        event(2, plan_dict("GET /customers/{customerId}", "GET",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "c1"},
-                           resource="customer"),
+        event(2, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "c1"}),
               status=200, body={"customerId": "c1"}),
-        event(3, plan_dict("GET /boom", "GET", "/boom"), status=500,
+        event(3, plan_dict("GET /boom"), status=500,
               findings=[error_finding()]),
     ]
     deps = {2: {1}}
@@ -1094,13 +1042,10 @@ def test_minimize_cascades_consumers_of_removed_producers():
 
 def test_producer_dependencies_from_trace(bookshop_model):
     events = [
-        event(1, plan_dict("POST /customers", "POST", "/customers",
-                           crud="create", resource="customer"),
+        event(1, plan_dict("POST /customers"),
               status=201, body={"customerId": "c1"}),
-        event(2, plan_dict("DELETE /customers/{customerId}", "DELETE",
-                           "/customers/{customerId}",
-                           path_params={"customerId": "c1"}, crud="delete",
-                           resource="customer"),
+        event(2, plan_dict("DELETE /customers/{customerId}",
+                           path_params={"customerId": "c1"}),
               status=204),
     ]
     deps = producer_dependencies(events, bookshop_model)
