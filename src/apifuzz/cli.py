@@ -9,7 +9,9 @@ output, and exit codes are stable:
   trace or report, an unreachable endpoint), found before the trace opens.
   Ctrl-C or SIGTERM stops a run as ``operator-stop``; the report is still
   written, and the exit code is the verdict's
-* ``minimize`` — 0 ok; 2 error; 3 finding not reproducible on the full prefix
+* ``minimize`` — 0 ok; 2 error (bad input, an unreachable endpoint), found
+  before any replay; 3 finding not reproducible on the full prefix.  It
+  reports what the shrink cost: oracle calls, replayed requests, wall time
 * ``replay``   — 0 reproduced; 1 not reproduced; 2 error
 * ``report``   — 0
 
@@ -25,6 +27,7 @@ import json
 import os
 import signal
 import sys
+import time
 
 from .checker import GRADE_ERROR
 from .generator import (
@@ -89,6 +92,19 @@ def _unreachable(target, timeout: float) -> bool:
     print(f"error: endpoint unreachable: no HTTP answer from "
           f"{target.base_url!r}", file=sys.stderr)
     return True
+
+
+class _CountingTarget:
+    """A target that appends to ``sent`` for each request sent through it;
+    a list, since a concurrent replay sends from several threads."""
+
+    def __init__(self, target, sent: list):
+        self._target = target
+        self._sent = sent
+
+    def request(self, *args):
+        self._sent.append(None)
+        return self._target.request(*args)
 
 
 def _interrupt(signum, frame):
@@ -323,6 +339,15 @@ def cmd_minimize(args) -> int:
         print(f"error: trace has no event {event_id}", file=sys.stderr)
         return 2
 
+    prefix = [e for e in events if e.event_id <= event_id]
+    operations = spec.operations_by_id()
+    for event in prefix:
+        if event.plan.get("operation") not in operations:
+            print(f"error: cannot read trace: event {event.event_id} names "
+                  f"operation {event.plan.get('operation')!r} that the "
+                  f"trace's spec lacks", file=sys.stderr)
+            return 2
+
     max_in_flight = config.get("max_in_flight", 1)
 
     try:
@@ -330,16 +355,19 @@ def cmd_minimize(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    prefix = [e for e in events if e.event_id <= event_id]
-    deps = producer_dependencies(prefix, model, threshold)
+
+    def network_target():
+        return NetworkTarget(args.endpoint, _default_headers(),
+                             verify=not args.insecure)
+
+    sent: list[None] = []
 
     def target_factory():
-        target = NetworkTarget(args.endpoint, _default_headers(),
-                               verify=not args.insecure)
+        target = network_target()
         reset(target)
-        return target
+        return _CountingTarget(target, sent)
 
-    if _unreachable(target_factory(), args.timeout) \
+    if _unreachable(network_target(), args.timeout) \
             or _unwritable(args.out, "script file"):
         return 2
     oracle = build_replay_oracle(
@@ -347,12 +375,15 @@ def cmd_minimize(args) -> int:
         attempts=args.replay_attempts, timeout=args.timeout,
         threshold=threshold)
 
+    started = time.perf_counter()
+    deps = producer_dependencies(prefix, model, threshold)
     try:
         result = minimize(prefix, event_id, oracle, deps,
                           max_oracle_calls=args.budget)
     except NotReproducible as exc:
         print(f"not reproducible: {exc}", file=sys.stderr)
         return 3
+    shrink_s = time.perf_counter() - started
 
     script = bind_symbols(result.events, model, expected, threshold,
                           max_in_flight=max_in_flight)
@@ -363,6 +394,8 @@ def cmd_minimize(args) -> int:
         "events_before": result.reduced_from,
         "events_after": len(result.events),
         "oracle_calls": result.oracle_calls,
+        "replayed_requests": len(sent),
+        "shrink_s": round(shrink_s, 3),
         "proven_minimal": result.proven_minimal,
         "script_path": args.out,
     }
@@ -371,6 +404,7 @@ def cmd_minimize(args) -> int:
     else:
         print(f"minimized {result.reduced_from} events -> "
               f"{len(result.events)} ({result.oracle_calls} oracle calls, "
+              f"{len(sent)} replayed requests, {shrink_s:.2f} s, "
               f"{'proven' if result.proven_minimal else 'NOT proven'} minimal)")
         print(f"script: {args.out}")
     return 0

@@ -380,18 +380,17 @@ class _RunState:
 
     def complete(self, plan: RequestPlan, prediction: StatusPrediction,
                  dispatch_epoch: int, result) -> str | None:
-        """Count, check, apply and trace one finished exchange; returns the
+        """Check, apply, trace and count one finished exchange; returns the
         stop reason it causes, if any.  Events are numbered in completion
-        order (at window 1 the plan order); that count is the trace's clock."""
+        order (at window 1 the plan order); that count is the trace's clock.
+        The exchange is counted only once its event is appended (or the
+        sink failed), so an interrupt before that leaves the report and the
+        trace agreeing."""
         counters = self.counters
-        counters["requests_sent"] += 1
-        event_id = counters["requests_sent"]
+        event_id = counters["requests_sent"] + 1
         op_id = plan.binding.operation_id
-        per_op = counters["per_operation"]
-        per_op[op_id] = per_op.get(op_id, 0) + 1
         findings = check_exchange(plan, result, self.ops_by_id[op_id],
                                   prediction, exchange_ref=event_id)
-        self.note_findings(findings)
         try:
             apply_effect(plan, result, self.store, self.config.match_threshold)
         except IdExtractionFailure as exc:
@@ -402,15 +401,20 @@ class _RunState:
         event = make_trace_event(
             event_id, plan.to_wire_dict(), result, findings,
             dispatch_epoch=dispatch_epoch, is_id_key=self.is_id_key)
+        stop = None
         try:
             self.sink.append(event)
         except SinkWriteError as exc:
             self.notes.append(f"trace sink failed: {exc}")
-            return "operator-stop"
-        if self.config.stop_on_error and any(f.grade == GRADE_ERROR
-                                             for f in findings):
-            return "error-detected"
-        return None
+            stop = "operator-stop"
+        counters["requests_sent"] = event_id
+        per_op = counters["per_operation"]
+        per_op[op_id] = per_op.get(op_id, 0) + 1
+        self.note_findings(findings)
+        if stop is None and self.config.stop_on_error \
+                and any(f.grade == GRADE_ERROR for f in findings):
+            stop = "error-detected"
+        return stop
 
     def emit_progress(self, progress: Callable | None, in_flight: int) -> None:
         if progress is None:

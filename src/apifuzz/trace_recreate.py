@@ -20,7 +20,8 @@ answer is judged, a script runs once by default, and a symbol that does not
 resolve ends the replay.  Above 1 the steps are sent overlapped up to the
 window, a step first collects the producers it consumes, any answer counts,
 a script runs :data:`DEFAULT_RACE_ATTEMPTS` times by default, and a symbol
-that does not resolve only fails that attempt.
+that does not resolve only fails that attempt, unless an answer already
+showed the failure.
 
 The minimizer treats symbolic producers and their consumers as atomic: when a
 candidate removal would orphan a consumer of a removed producer, the consumer
@@ -406,7 +407,10 @@ class _ProducerRegistry:
     A producer is eligible for a consumer when it completed no later than the
     consumer was generated (its value could have been in the state store):
     its event id is at most the consumer's ``dispatch_epoch``, and so below
-    the consumer's own event id.  Among eligible producers the latest one
+    the consumer's own event id.  Among eligible producers one whose JSON
+    path holds no list index (a create's or a single read's ``$.customerId``)
+    wins over a list read's ``$[1].customerId``, whose position only holds
+    while every item before it is replayed too; among equals the latest
     wins.
     """
 
@@ -417,14 +421,14 @@ class _ProducerRegistry:
         self._by_value.setdefault(str(value), []).append(
             (event_id, json_path, key))
 
-    def latest_before(self, value, consumer_dispatch_epoch: int):
+    def producer_before(self, value, consumer_dispatch_epoch: int):
         entries = self._by_value.get(str(value))
         if not entries:
             return None
         eligible = [e for e in entries if e[0] <= consumer_dispatch_epoch]
         if not eligible:
             return None
-        return max(eligible)
+        return max(eligible, key=lambda e: ("[" not in e[1], e))
 
 
 def _id_key_predicate(model: SemanticModel,
@@ -528,7 +532,7 @@ def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,
                             f"{location}[{i}]")
                 for i, v in enumerate(value)]
     if isinstance(value, (str, int)) and not isinstance(value, bool):
-        hit = registry.latest_before(value, dispatch_epoch)
+        hit = registry.producer_before(value, dispatch_epoch)
         if hit is not None:
             event_id, json_path, key = hit
             sym_key = (event_id, json_path)
@@ -554,7 +558,8 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
 
     A literal in a request that equals a value observed at an id field of a
     success response that completed before the request was generated is bound
-    to that producer (the latest one when several produced the same value).
+    to that producer.  When several produced the same value, one outside a
+    list (a create's id) wins over a list item, and then the latest wins.
     Remaining literals stay concrete.  Script steps follow dispatch order
     (plan ids), so concurrent windows replay the way they were issued, and
     take their method and path template from the operation in the model's
@@ -756,7 +761,8 @@ def _replay_once(script: RecreateScript, target, dispatcher) -> bool:
     A full window first collects whatever is answered, and a step then
     collects the steps it takes symbols from.  At window 1 each step is
     answered before the next one is built, and the last answer is judged;
-    above it, any answer counts.
+    above it, any answer counts, also one from a producer that then yields
+    no symbol (the failure itself can be what keeps its id out).
     """
     window = script.max_in_flight
     first_judged = 0 if window > 1 else len(script.steps) - 1
@@ -801,7 +807,8 @@ def _replay_once(script: RecreateScript, target, dispatcher) -> bool:
     except SymbolResolutionFailure:
         while pending:  # the next attempt sends under the same tags
             pending.difference_update(idx for idx, _ in dispatcher.wait())
-        raise
+        if not reproduced:
+            raise
     return reproduced
 
 

@@ -430,12 +430,16 @@ def failing_trace(spec_file, tmp_path):
 def test_minimize_and_replay_round_trip(failing_trace, tmp_path, capsys):
     server, trace = failing_trace
     script_path = str(tmp_path / "recreate.json")
+    capsys.readouterr()
     code = run_cli("minimize", "--trace", trace,
-                   "--endpoint", server.base_url, "--out", script_path)
+                   "--endpoint", server.base_url, "--out", script_path,
+                   "--json")
     assert code == 0
-    out = capsys.readouterr().out
-    assert "minimized" in out and "oracle calls" in out
+    stats = json.loads(capsys.readouterr().out)
     script = json.loads(open(script_path).read())
+    assert stats["events_after"] == len(script["steps"])
+    assert stats["replayed_requests"] >= stats["events_before"]
+    assert stats["shrink_s"] > 0
     assert script["script_version"] == 1
     assert len(script["steps"]) <= 3
 
@@ -503,9 +507,10 @@ def test_minimize_an_event_without_findings_exits_two(failing_trace,
 
 
 def test_minimize_resets_through_the_run_target(failing_trace, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, capsys):
     """The reset before each replay carries the auth token and the TLS
-    setting, like the replay's own requests."""
+    setting, like the replay's own requests; there is one per oracle
+    call."""
     server, trace = failing_trace
     resets = []
     send = NetworkTarget.request
@@ -517,10 +522,17 @@ def test_minimize_resets_through_the_run_target(failing_trace, tmp_path,
 
     monkeypatch.setattr(NetworkTarget, "request", recording_request)
     monkeypatch.setenv("APIFUZZ_AUTH_TOKEN", "s3cret")
+    capsys.readouterr()
     assert run_cli("minimize", "--trace", trace, "--endpoint", server.base_url,
                    "--insecure", "--budget", "3",
                    "--out", str(tmp_path / "s.json")) == 0
-    assert resets
+    line = capsys.readouterr().out.splitlines()[0]
+    events, calls, replayed = map(int, re.match(
+        r"minimized (\d+) events -> \d+ \((\d+) oracle calls, "
+        r"(\d+) replayed requests, \d+\.\d\d s, (NOT )?proven minimal\)$",
+        line).groups()[:3])
+    assert calls == len(resets) == 3
+    assert replayed >= events
     assert all(reset == ("POST", {"Authorization": "Bearer s3cret"}, False)
                for reset in resets)
 

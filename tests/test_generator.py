@@ -527,6 +527,36 @@ def test_ctrl_c_stops_the_run_and_keeps_the_trace(bookshop_model,
     assert [e.event_id for e in events] == [1, 2, 3, 4]
 
 
+def test_ctrl_c_while_an_exchange_is_completed_leaves_it_uncounted(
+        bookshop_model, bookshop_sampling, monkeypatch):
+    """An exchange interrupted while it is checked is neither traced nor
+    counted: the report and the trace agree."""
+    from apifuzz import generator
+
+    checked = generator.check_exchange
+    calls = []
+
+    def interrupted_check(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "check_exchange", interrupted_check)
+    config = RunConfig(master_seed=0, max_requests=50)
+    target = InProcessTarget(BookshopApp())
+    try:
+        result = run(config, bookshop_model, bookshop_sampling, target=target)
+    finally:
+        target.close()
+    _, events = read_trace(result.trace_ref)
+    _drop_trace(result)
+    assert result.stop_reason == "operator-stop"
+    assert result.counters["requests_sent"] == 4
+    assert sum(result.counters["per_operation"].values()) == 4
+    assert [e.event_id for e in events] == [1, 2, 3, 4]
+
+
 def test_progress_events_are_emitted(bookshop_ir, bookshop_model,
                                      bookshop_sampling, monkeypatch):
     from apifuzz import generator

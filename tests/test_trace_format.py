@@ -258,6 +258,18 @@ def test_minimize_refuses_a_trace_header_without_its_spec_or_model(
     assert capsys.readouterr().err.startswith("error: cannot read trace: ")
 
 
+def test_minimize_refuses_a_plan_whose_operation_the_spec_lacks(
+        tmp_path, capsys, fuzzed_records):
+    records = json.loads(json.dumps(fuzzed_records))
+    records[1]["plan"]["operation"] = "GET /nope"
+    path = _write(tmp_path / "bad.jsonl", records)
+    assert cli.main(["minimize", "--trace", path,
+                     "--endpoint", "http://127.0.0.1:9"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read trace: event 1 names operation 'GET /nope' "
+        "that the trace's spec lacks\n")
+
+
 # --- the sink -----------------------------------------------------------------------
 
 def _clean_event(event_id):

@@ -276,9 +276,55 @@ def test_bind_symbols_no_cross_literals_means_no_bindings(bookshop_model):
     assert script.steps[1]["path_params"]["customerId"] == "z42"
 
 
-def test_bind_symbols_prefers_latest_producer(bookshop_model):
-    # the same id value is produced at events 1 and 2; the consumer at 3
-    # must bind to event 2
+def _producer_of_c1(bookshop_model, producers, read_dispatch_epoch=None):
+    """The producer the read of ``c1`` after ``producers`` binds to, each
+    producer given as (operation, 2XX body)."""
+    events = [event(i, plan_dict(op, plan_id=i), status=201, body=body)
+              for i, (op, body) in enumerate(producers, start=1)]
+    read = len(events) + 1
+    events.append(event(read, plan_dict("GET /customers/{customerId}",
+                                        path_params={"customerId": "c1"},
+                                        plan_id=read),
+                        status=500, body={"error": "x"},
+                        findings=[error_finding()],
+                        dispatch_epoch=read_dispatch_epoch))
+    (binding,) = bind_symbols(events, bookshop_model).bindings
+    return binding["producer"]
+
+
+def test_bind_symbols_prefers_a_create_to_a_later_list_read(bookshop_model):
+    """A list item's position holds only while every earlier item is
+    replayed too, so the create wins although the list read is later."""
+    assert _producer_of_c1(bookshop_model, [
+        ("POST /customers", {"customerId": "c1"}),
+        ("GET /customers", [{"customerId": "c0"}, {"customerId": "c1"}]),
+    ]) == [1, "$.customerId"]
+
+
+@pytest.mark.parametrize(("producers", "expected"), [
+    ([("POST /customers", {"customerId": "c1"}),
+      ("GET /customers/{customerId}", {"customerId": "c1"})],
+     [2, "$.customerId"]),
+    ([("GET /customers", [{"customerId": "c1"}]),
+      ("GET /customers", [{"customerId": "c0"}, {"customerId": "c1"}])],
+     [2, "$[1].customerId"]),
+], ids=["two-outside-a-list", "two-list-reads"])
+def test_bind_symbols_of_two_equals_binds_the_later(bookshop_model, producers,
+                                                    expected):
+    assert _producer_of_c1(bookshop_model, producers) == expected
+
+
+def test_bind_symbols_binds_a_list_read_when_no_create_is_eligible(
+        bookshop_model):
+    """The create completed after the read was generated (window 2), so
+    only the list read could have given the read its id."""
+    assert _producer_of_c1(bookshop_model, [
+        ("GET /customers", [{"customerId": "c1"}]),
+        ("POST /customers", {"customerId": "c1"}),
+    ], read_dispatch_epoch=1) == [1, "$[0].customerId"]
+
+
+def test_producer_dependencies_maps_a_consumer_to_its_create(bookshop_model):
     events = [
         event(1, plan_dict("POST /customers"),
               status=201, body={"customerId": "c1"}),
@@ -286,13 +332,33 @@ def test_bind_symbols_prefers_latest_producer(bookshop_model):
               status=200, body=[{"customerId": "c1"}]),
         event(3, plan_dict("GET /customers/{customerId}",
                            path_params={"customerId": "c1"}),
-              status=500, body={"error": "x"},
-              findings=[error_finding()]),
+              status=500, body={"error": "x"}, findings=[error_finding()]),
     ]
-    script = bind_symbols(events, bookshop_model)
-    (binding,) = script.bindings
-    assert binding["producer"][0] == 2
-    assert binding["producer"][1] == "$[0].customerId"
+    assert producer_dependencies(events, bookshop_model) == {3: {1}}
+
+
+def test_a_subsequence_without_a_sibling_create_still_resolves(
+        bookshop_model):
+    """Bound to the list read, the read of ``c1`` would take the list's
+    second item, and the list has one once ``c2``'s create is dropped."""
+    events = [
+        event(1, plan_dict("POST /customers", body={"name": "Ada"}, plan_id=1),
+              status=201, body={"customerId": "c1"}),
+        event(2, plan_dict("POST /customers", body={"name": "Bo"}, plan_id=2),
+              status=201, body={"customerId": "c2"}),
+        event(3, plan_dict("GET /customers", plan_id=3),
+              body=[{"customerId": "c2"}, {"customerId": "c1"}]),
+        event(4, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "c1"}, plan_id=4),
+              status=500, body={"error": "x"}, findings=[error_finding()]),
+    ]
+    script = bind_symbols([events[0], events[2], events[3]], bookshop_model)
+    target = InProcessTarget(BookshopApp(randomize_ids=True))
+    try:
+        assert replay(script, target).outcome == "not-reproduced"
+    finally:
+        target.close()
+    assert [b["producer"] for b in script.bindings] == [[1, "$.customerId"]]
 
 
 def test_bind_symbols_skips_a_producer_that_completed_after_generation(
@@ -841,6 +907,29 @@ def test_concurrent_replay_raises_when_no_attempt_resolves(bookshop_model):
         replay(script, _FlakyListBookshop())
 
 
+def test_a_concurrent_producer_that_fails_as_expected_reproduces(
+        bookshop_model):
+    """Above window 1 any answer counts, also the 5XX of a producer that
+    therefore yields no id for its consumer."""
+    events = [
+        event(1, plan_dict("POST /orders", body={"customerId": "c1"}),
+              status=201, body={"orderId": "o1", "customerId": "c1"}),
+        event(2, plan_dict("GET /customers/{customerId}",
+                           path_params={"customerId": "c1"}),
+              status=500, body={"error": "x"}, findings=[error_finding()]),
+    ]
+    script = bind_symbols(events, bookshop_model, max_in_flight=2, attempts=1)
+    assert [b["producer"] for b in script.bindings] == [[1, "$.customerId"]]
+
+    class AlwaysFails:
+        def request(self, method, url_path, headers, body, timeout):
+            return 500, {"Content-Type": "application/json"}, b'{"error":"x"}'
+
+    outcome = replay(script, AlwaysFails())
+    assert outcome.outcome == "reproduced"
+    assert outcome.attempts_used == 1
+
+
 def test_the_window_sets_the_default_attempts(bookshop_model):
     events = _list_then_read_events()
     assert bind_symbols(events, bookshop_model).attempts == 1
@@ -1085,6 +1174,35 @@ def test_minimize_end_to_end_on_seeded_bug(bookshop_ir, bookshop_model):
     off = replay(script, InProcessTarget(BookshopApp(randomize_ids=True)))
     assert on.outcome == "reproduced"
     assert off.outcome == "not-reproduced"
+
+
+def test_a_sequential_shrink_binds_to_creates_and_stays_cheap(
+        bookshop_ir, bookshop_model):
+    """The 300-request trace the benchmark shrinks for this bug: bound to
+    its create rather than to a list position, a consumer leaves with it,
+    so ddmin drops sibling creates and ends at create + delete."""
+    bug = "delete-customer-500"
+    sampling = build_sampling_spec(bookshop_ir, bookshop_model)
+    config = RunConfig(mode="sequential", master_seed=1, max_requests=300,
+                       stop_on_error=False)
+    target = InProcessTarget(BookshopApp(toggles=[bug]))
+    fuzzed = run(config, bookshop_model, sampling, target=target)
+    target.close()
+    _, events = read_trace(fuzzed.trace_ref)
+    os.unlink(fuzzed.trace_ref)
+    failing = [e for e in events
+               if any(f.grade == "error" for f in e.findings)][-1]
+    prefix = [e for e in events if e.event_id <= failing.event_id]
+
+    oracle = build_replay_oracle(
+        bookshop_model, expected_failure_for(failing, bookshop_ir),
+        lambda: InProcessTarget(BookshopApp(toggles=[bug],
+                                            randomize_ids=True)))
+    result = minimize(prefix, failing.event_id, oracle,
+                      producer_dependencies(prefix, bookshop_model))
+    assert len(result.events) == 2
+    assert result.proven_minimal
+    assert result.oracle_calls <= 10
 
 
 def test_minimize_race_trace_in_concurrent_mode(bookshop_ir, bookshop_model):
