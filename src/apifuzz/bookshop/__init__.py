@@ -171,8 +171,10 @@ class BookshopApp:
 
     def _render_list(self, table: dict) -> list[dict]:
         """The last ``list_cap`` records in insertion order, read from the
-        end of the table so that a list costs O(cap), not O(table)."""
-        records = list(islice(reversed(table.values()), self._list_cap))
+        end of the table so that a list costs O(cap), not O(table).  The
+        read holds the lock that creates insert under."""
+        with self._lock:
+            records = list(islice(reversed(table.values()), self._list_cap))
         return [self._render(r) for r in reversed(records)]
 
     def _parse_body(self, body: bytes):

@@ -21,11 +21,14 @@ failures surface as a ``no-response`` warning.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, replace
-from typing import Any
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .http_driver import content_type
 from .spec_ingest import (
+    ANY_KIND,
     OperationDef,
     ResponseDef,
     SchemaNode,
@@ -99,89 +102,219 @@ class SchemaViolation:
     message: str
 
 
-_TYPE_CHECKS = {
-    "string": lambda v: isinstance(v, str),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-}
+# A compiled check returns ``()`` for a valid value, else its violations as
+# (path relative to the node, constraint, message) in report order.  A parent
+# prefixes its ``.field`` or ``[i]`` only to what a child returns, so the
+# path strings are built for violations alone.
+Violations = Sequence[tuple[str, str, str]]
+
+_TYPES = {"string": str, "integer": int, "number": (int, float),
+          "boolean": bool, "object": dict, "array": list}
+_NULL = (("", "nullable", "null where the schema does not allow it"),)
+
+
+def _under(prefix: str, inner: Violations) -> list[tuple[str, str, str]]:
+    """A child's violations, their paths under the child's ``prefix``."""
+    return [(prefix + path, constraint, message)
+            for path, constraint, message in inner]
+
+
+@lru_cache(maxsize=None)
+def _kind_checks(kind: str, nullable: bool) -> tuple[Callable, Callable]:
+    """What a kind alone decides, shared by every node of that kind and
+    nullability: the violations of a value that is not of the kind, and
+    the whole check of a node with no other constraint."""
+    on_null = () if nullable else _NULL
+    if kind == ANY_KIND:
+        def check_any(value):
+            return on_null if value is None else ()
+        return check_any, check_any
+    types = _TYPES[kind]
+
+    def wrong(value) -> Violations:
+        if value is None:
+            return on_null
+        return (("", "type", f"expected {kind}, got {type(value).__name__}"),)
+
+    def check_type(value):
+        return () if isinstance(value, types) else wrong(value)
+    return wrong, check_type
+
+
+def compile_schema(schema: SchemaNode) -> Callable[[Any], Violations]:
+    """``schema`` as one function of a value.  :func:`validate_value` reads
+    it through :attr:`SchemaNode.validator`, which compiles each node once;
+    a child is reached through its own node's validator."""
+    kind = schema.kind
+    wrong, check_type = _kind_checks(kind, schema.nullable)
+    if kind == ANY_KIND:
+        return check_type
+    types = _TYPES[kind]
+    enum = schema.enum_values
+
+    def not_in_enum(value) -> tuple[str, str, str]:
+        return ("", "enum", f"{value!r} not among {list(enum)}")
+
+    if kind == "string":
+        pattern = schema.pattern
+        search = re.compile(pattern).search if pattern else None
+        lo, hi = schema.min_length, schema.max_length
+
+        def check_string(value):
+            if not isinstance(value, str):
+                return wrong(value)
+            out = ()
+            if enum and value not in enum:
+                out = [not_in_enum(value)]
+            if search is not None and search(value) is None:
+                out = [*out, ("", "pattern",
+                              f"{value!r} does not match {pattern!r}")]
+            if lo is not None and len(value) < lo:
+                out = [*out, ("", "min_length",
+                              f"length {len(value)} < minLength {lo}")]
+            if hi is not None and len(value) > hi:
+                out = [*out, ("", "max_length",
+                              f"length {len(value)} > maxLength {hi}")]
+            return out
+
+        # A pattern alone or lengths alone get an accept test: a value that
+        # passes it is valid, and any other is judged by the full check,
+        # which alone builds violations.
+        bounded = (lo, hi) != (None, None)
+        if enum or (search is not None and bounded):
+            return check_string
+        if not bounded and search is None:
+            return check_type
+        if search is not None:
+            def accept_pattern(value):
+                if isinstance(value, str) and search(value) is not None:
+                    return ()
+                return check_string(value)
+            return accept_pattern
+        low = 0 if lo is None else lo
+        high = sys.maxsize if hi is None else hi
+
+        def accept_length(value):
+            if isinstance(value, str) and low <= len(value) <= high:
+                return ()
+            return check_string(value)
+        return accept_length
+
+    if kind in ("integer", "number"):
+        lo, hi = schema.minimum, schema.maximum
+        exact = (int,) if kind == "integer" else (int, float)
+
+        def check_number(value):
+            if not isinstance(value, types) or isinstance(value, bool):
+                return wrong(value)
+            out = ()
+            if enum and value not in enum:
+                out = [not_in_enum(value)]
+            if lo is not None and value < lo:
+                out = [*out, ("", "minimum", f"{value} < minimum {lo}")]
+            if hi is not None and value > hi:
+                out = [*out, ("", "maximum", f"{value} > maximum {hi}")]
+            return out
+
+        if enum:
+            return check_number
+
+        def accept_range(value):
+            if type(value) in exact and (lo is None or value >= lo) \
+                    and (hi is None or value <= hi):
+                return ()
+            return check_number(value)
+        return accept_range
+
+    if kind == "array":
+        lo, hi = schema.min_items, schema.max_items
+        item_check = schema.items.validator if schema.items is not None \
+            else None
+
+        def check_array(value):
+            if not isinstance(value, list):
+                return wrong(value)
+            out = ()
+            if enum and value not in enum:
+                out = [not_in_enum(value)]
+            if lo is not None and len(value) < lo:
+                out = [*out, ("", "min_items",
+                              f"{len(value)} items < minItems {lo}")]
+            if hi is not None and len(value) > hi:
+                out = [*out, ("", "max_items",
+                              f"{len(value)} items > maxItems {hi}")]
+            if item_check is not None:
+                for i, item in enumerate(value):
+                    inner = item_check(item)
+                    if inner:
+                        out = out or []
+                        out += _under(f"[{i}]", inner)
+            return out
+        return check_array
+
+    if kind == "object":
+        required = schema.required_fields
+        check_of = {name: node.validator
+                    for name, node in schema.properties}.get
+
+        def check_object(value):
+            if not isinstance(value, dict):
+                return wrong(value)
+            out = ()
+            if enum and value not in enum:
+                out = [not_in_enum(value)]
+            for name in required:
+                if name not in value:
+                    out = [*out, (f".{name}", "required",
+                                  f"required field {name!r} is missing")]
+            for name, item in value.items():
+                check = check_of(name)
+                if check is not None:
+                    inner = check(item)
+                    if inner:
+                        out = out or []
+                        out += _under(f".{name}", inner)
+            return out
+        return check_object
+
+    if not enum:
+        return check_type
+
+    def check_boolean(value):
+        if not isinstance(value, types):
+            return wrong(value)
+        return [not_in_enum(value)] if value not in enum else ()
+    return check_boolean
 
 
 def validate_value(value: Any, schema: SchemaNode,
                    path: str = "$") -> list[SchemaViolation]:
-    """All constraint violations of ``value`` against ``schema``."""
-    out: list[SchemaViolation] = []
-    if value is None:
-        if not schema.nullable:
-            out.append(SchemaViolation(path, "nullable",
-                                       "null where the schema does not allow it"))
-        return out
-    if schema.kind == "any":
-        return out
-
-    type_ok = _TYPE_CHECKS[schema.kind](value)
-    if not type_ok:
-        out.append(SchemaViolation(
-            path, "type",
-            f"expected {schema.kind}, got {type(value).__name__}"))
-        return out
-
-    if schema.enum_values and value not in schema.enum_values:
-        out.append(SchemaViolation(
-            path, "enum", f"{value!r} not among {list(schema.enum_values)}"))
-
-    if schema.kind == "string":
-        if schema.pattern and not re.search(schema.pattern, value):
-            out.append(SchemaViolation(
-                path, "pattern", f"{value!r} does not match {schema.pattern!r}"))
-        if schema.min_length is not None and len(value) < schema.min_length:
-            out.append(SchemaViolation(
-                path, "min_length",
-                f"length {len(value)} < minLength {schema.min_length}"))
-        if schema.max_length is not None and len(value) > schema.max_length:
-            out.append(SchemaViolation(
-                path, "max_length",
-                f"length {len(value)} > maxLength {schema.max_length}"))
-    elif schema.kind in ("integer", "number"):
-        if schema.minimum is not None and value < schema.minimum:
-            out.append(SchemaViolation(
-                path, "minimum", f"{value} < minimum {schema.minimum}"))
-        if schema.maximum is not None and value > schema.maximum:
-            out.append(SchemaViolation(
-                path, "maximum", f"{value} > maximum {schema.maximum}"))
-    elif schema.kind == "array":
-        if schema.min_items is not None and len(value) < schema.min_items:
-            out.append(SchemaViolation(
-                path, "min_items",
-                f"{len(value)} items < minItems {schema.min_items}"))
-        if schema.max_items is not None and len(value) > schema.max_items:
-            out.append(SchemaViolation(
-                path, "max_items",
-                f"{len(value)} items > maxItems {schema.max_items}"))
-        if schema.items is not None:
-            for i, item in enumerate(value):
-                out.extend(validate_value(item, schema.items, f"{path}[{i}]"))
-    elif schema.kind == "object":
-        for fname in schema.required_fields:
-            if fname not in value:
-                out.append(SchemaViolation(
-                    f"{path}.{fname}", "required",
-                    f"required field {fname!r} is missing"))
-        props = schema.property_map()
-        for fname, fvalue in value.items():
-            if fname in props:
-                out.extend(validate_value(fvalue, props[fname],
-                                          f"{path}.{fname}"))
-    return out
+    """All constraint violations of ``value`` against ``schema``, in order."""
+    return [SchemaViolation(path + suffix, constraint, message)
+            for suffix, constraint, message in schema.validator(value)]
 
 
 # --- individual checks -------------------------------------------------------------
 
-def matching_response(op: OperationDef, status: int) -> ResponseDef | None:
-    """The declared response a status falls under: the exact code, else the
-    first class (``2XX``) that matches, else ``default``."""
+class Verdict(NamedTuple):
+    """What an operation and a status alone decide: the declared response
+    the status falls under, and the finding ``check_status`` gives it."""
+    response: ResponseDef | None
+    status_finding: Finding | None
+
+
+def verdict(op: OperationDef, status: int) -> Verdict:
+    """The verdict for ``status``, resolved once per operation and status and
+    kept on the operation (:attr:`OperationDef.status_verdicts`)."""
+    verdicts = op.status_verdicts
+    found = verdicts.get(status)
+    if found is None:
+        found = verdicts[status] = Verdict(_matching_response(op, status),
+                                           _status_finding(op, status))
+    return found
+
+
+def _matching_response(op: OperationDef, status: int) -> ResponseDef | None:
     exact, by_class, wildcard = None, None, None
     for pattern, resp in op.responses:
         if pattern == str(status):
@@ -193,9 +326,7 @@ def matching_response(op: OperationDef, status: int) -> ResponseDef | None:
     return exact or by_class or wildcard
 
 
-def check_status(response, operation: OperationDef) -> Finding | None:
-    """Flag undeclared statuses and every server error."""
-    status = response.status
+def _status_finding(operation: OperationDef, status: int) -> Finding | None:
     declared = [pattern for pattern, _ in operation.responses]
     if status >= 500:
         qualifier = "declared" if str(status) in declared else "not declared"
@@ -213,12 +344,28 @@ def check_status(response, operation: OperationDef) -> Finding | None:
     return None
 
 
+def matching_response(op: OperationDef, status: int) -> ResponseDef | None:
+    """The declared response a status falls under: the exact code, else the
+    first class (``2XX``) that matches, else ``default``."""
+    return verdict(op, status).response
+
+
+def check_status(response, operation: OperationDef) -> Finding | None:
+    """Flag undeclared statuses and every server error."""
+    return verdict(operation, response.status).status_finding
+
+
 def check_syntactic(response, operation: OperationDef) -> list[Finding]:
     """Validate the response body against the schema declared for its status."""
-    status = response.status
-    resp = matching_response(operation, status)
+    resp = verdict(operation, response.status).response
     if resp is None:
         return []  # undeclared status; check_status already flags it
+    return _check_body(response, operation, resp)
+
+
+def _check_body(response, operation: OperationDef,
+                resp: ResponseDef) -> list[Finding]:
+    status = response.status
     if resp.body_schema is None:
         if resp.content_types and response.body:
             return [Finding(
@@ -249,17 +396,15 @@ def check_syntactic(response, operation: OperationDef) -> list[Finding]:
             f"JSON: {response.json_error}",
             json_path="$", constraint="malformed-body", observed=status)]
 
-    findings = []
-    for violation in validate_value(response.json_body,
-                                    resp.body_schema)[:_MAX_SCHEMA_FINDINGS]:
-        findings.append(Finding(
-            GRADE_ERROR, KIND_SCHEMA,
-            f"{operation.operation_id} response {status} violates the declared "
-            f"schema at {violation.json_path} ({violation.constraint}): "
-            f"{violation.message}",
-            json_path=violation.json_path, constraint=violation.constraint,
-            observed=status))
-    return findings
+    violations = resp.body_schema.validator(response.json_body)
+    if not violations:
+        return []
+    return [Finding(
+        GRADE_ERROR, KIND_SCHEMA,
+        f"{operation.operation_id} response {status} violates the declared "
+        f"schema at ${path} ({constraint}): {message}",
+        json_path=f"${path}", constraint=constraint, observed=status)
+        for path, constraint, message in violations[:_MAX_SCHEMA_FINDINGS]]
 
 
 def check_semantic(response, prediction: StatusPrediction) -> Finding | None:
@@ -285,15 +430,14 @@ def check_exchange(plan, response, operation: OperationDef,
                         f"no response for {plan.binding.operation_id}: "
                         f"{response.transport_error}",
                         exchange_ref=exchange_ref)]
-    findings: list[Finding] = []
-    status_finding = check_status(response, operation)
-    if status_finding:
-        findings.append(status_finding)
-    findings.extend(check_syntactic(response, operation))
+    resp, status_finding = verdict(operation, response.status)
+    findings = [] if status_finding is None else [status_finding]
+    if resp is not None:
+        findings.extend(_check_body(response, operation, resp))
     if prediction is not None:
         semantic = check_semantic(response, prediction)
         if semantic:
             findings.append(semantic)
-    if exchange_ref is not None:
+    if exchange_ref is not None and findings:
         findings = [replace(f, exchange_ref=exchange_ref) for f in findings]
     return findings

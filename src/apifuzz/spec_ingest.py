@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from functools import cached_property, lru_cache
+from typing import Any, Callable, Iterator, Sequence
 
 import yaml
 
@@ -55,17 +56,22 @@ def validate_status_pattern(pattern: str) -> bool:
 
 def status_pattern_matches(pattern: str, status: int) -> bool:
     """Match an observed status code against a declared pattern."""
-    if pattern == "XXX":
-        return True
-    if pattern.endswith("XX"):
-        return 100 <= status <= 599 and str(status)[0] == pattern[0]
-    return str(status) == pattern
+    return any_pattern_matches((pattern,), status)
 
 
 def any_pattern_matches(patterns, status: int) -> bool:
-    return any(status_pattern_matches(p, status) for p in patterns)
+    """Whether a status matches any of the patterns: ``XXX``, its exact
+    code, or its class (``4XX``) when it is a valid HTTP status."""
+    code = str(status)
+    in_range = 100 <= status <= 599
+    for pattern in patterns:
+        if pattern == code or pattern == "XXX" or (
+                in_range and pattern.endswith("XX") and pattern[0] == code[0]):
+            return True
+    return False
 
 
+@lru_cache(maxsize=64)
 def media_type(content_type: str | None) -> tuple[str, bool]:
     """A ``Content-Type`` value's base type, lowercased, and whether it is
     JSON: ``application/json``, any ``+json`` type, or no type at all."""
@@ -100,6 +106,13 @@ class SchemaNode:
 
     def property_map(self) -> dict[str, "SchemaNode"]:
         return dict(self.properties)
+
+    @cached_property
+    def validator(self) -> Callable[[Any], Sequence[tuple[str, str, str]]]:
+        """This schema compiled into one check (``checker.compile_schema``),
+        built on first use and freed with the node."""
+        from .checker import compile_schema  # the checker imports this module
+        return compile_schema(self)
 
 
 ANY_SCHEMA = SchemaNode()
@@ -136,6 +149,12 @@ class OperationDef:
 
     def parameters_in(self, *locations: str) -> list[ParameterDef]:
         return [p for p in self.parameters if p.location in locations]
+
+    @cached_property
+    def status_verdicts(self) -> dict:
+        """The checker's verdict for each status seen (``checker.verdict``),
+        filled on first use and freed with the operation."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -270,6 +289,17 @@ def _merge_allof(branches: list[SchemaNode], location: str,
     )
 
 
+@lru_cache(maxsize=256)
+def _pattern_error(pattern: str) -> str | None:
+    """Why Python's ``re`` cannot compile a schema's ``pattern``, if it
+    cannot; the checker and the sampler compile every pattern kept."""
+    try:
+        re.compile(pattern)
+    except re.error as exc:
+        return str(exc)
+    return None
+
+
 def _schema_node(raw, location: str, warnings: list[LintFinding]) -> SchemaNode:
     if raw is None or raw is True or raw == {}:
         return ANY_SCHEMA
@@ -349,13 +379,23 @@ def _schema_node(raw, location: str, warnings: list[LintFinding]) -> SchemaNode:
     if raw_type == "array":
         items = _schema_node(raw.get("items"), f"{location}.items", warnings)
 
+    pattern = raw.get("pattern")
+    if pattern is not None:
+        error = _pattern_error(pattern) if isinstance(pattern, str) \
+            else "not a string"
+        if error:
+            _warn(warnings, "unsupported-pattern", location,
+                  f"pattern {pattern!r} is not a Python regular expression "
+                  f"({error}); ignored")
+            pattern = None
+
     return SchemaNode(
         kind=raw_type,
         nullable=nullable,
         enum_values=tuple(raw.get("enum", []) or []),
         minimum=raw.get("minimum"),
         maximum=raw.get("maximum"),
-        pattern=raw.get("pattern"),
+        pattern=pattern,
         min_length=raw.get("minLength"),
         max_length=raw.get("maxLength"),
         format=raw.get("format"),

@@ -728,34 +728,42 @@ def _build_replay_plan(step: dict, symbols: dict[str, Any]) -> _ReplayPlan:
     return _ReplayPlan(step["method"], url, dict(step.get("headers", {})), body)
 
 
-def _predicate_matches(predicate: dict, result) -> bool:
-    if "transport_error" in predicate:
-        return bool(result.transport_error) and \
-            result.transport_error.startswith(predicate["transport_error"])
-    if result.status is None:
+def _predicate_matcher(predicate: dict) -> Callable[[Any], bool]:
+    """The script's failure predicate as a test of one answer; a schema in it
+    is built, and compiled on first use, once per matcher."""
+    schema = _schema_from_jsonable(predicate["schema"]) \
+        if "schema" in predicate else None
+
+    def matches(result) -> bool:
+        if "transport_error" in predicate:
+            return bool(result.transport_error) and \
+                result.transport_error.startswith(predicate["transport_error"])
+        if result.status is None:
+            return False
+        if "status_class" in predicate:
+            return status_pattern_matches(predicate["status_class"],
+                                          result.status)
+        if "status_not_in" in predicate:
+            patterns = predicate["status_not_in"]
+            return not any_pattern_matches(patterns, result.status)
+        if schema is not None:
+            if result.json_body is None:
+                return True  # schema declared but body unparseable: still violated
+            for violation in validate_value(result.json_body, schema):
+                if predicate.get("constraint") \
+                        and violation.constraint != predicate["constraint"]:
+                    continue
+                fld = predicate.get("field")
+                if fld and _last_segment(violation.json_path) != fld:
+                    continue
+                return True
+            return False
         return False
-    if "status_class" in predicate:
-        return status_pattern_matches(predicate["status_class"], result.status)
-    if "status_not_in" in predicate:
-        patterns = predicate["status_not_in"]
-        return not any_pattern_matches(patterns, result.status)
-    if "schema" in predicate:
-        if result.json_body is None:
-            return True  # schema declared but body unparseable: still violated
-        schema = _schema_from_jsonable(predicate["schema"])
-        for violation in validate_value(result.json_body, schema):
-            if predicate.get("constraint") \
-                    and violation.constraint != predicate["constraint"]:
-                continue
-            fld = predicate.get("field")
-            if fld and _last_segment(violation.json_path) != fld:
-                continue
-            return True
-        return False
-    return False
+    return matches
 
 
-def _replay_once(script: RecreateScript, target, dispatcher) -> bool:
+def _replay_once(script: RecreateScript, target, dispatcher,
+                 matches: Callable[[Any], bool]) -> bool:
     """One attempt at the script's window.
 
     A full window first collects whatever is answered, and a step then
@@ -782,7 +790,7 @@ def _replay_once(script: RecreateScript, target, dispatcher) -> bool:
         pending.difference_update(idx for idx, _ in answers)
         for idx, result in answers:
             if idx >= first_judged and not reproduced:
-                reproduced = _predicate_matches(script.expected_failure, result)
+                reproduced = matches(result)
             for variable, json_path in bound_by_step.get(idx, ()):
                 if result.transport_error or result.json_body is None:
                     raise SymbolResolutionFailure(
@@ -829,11 +837,12 @@ def replay(script: RecreateScript, target,
     concurrent = script.max_in_flight > 1
     unresolved: SymbolResolutionFailure | None = None
     resolved = False
+    matches = _predicate_matcher(script.expected_failure)
     dispatcher = Dispatcher(script.max_in_flight, timeout)
     try:
         for attempt in range(1, max(attempts, 1) + 1):
             try:
-                reproduced = _replay_once(script, target, dispatcher)
+                reproduced = _replay_once(script, target, dispatcher, matches)
             except SymbolResolutionFailure as exc:
                 if not concurrent:
                     raise

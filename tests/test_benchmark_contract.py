@@ -198,3 +198,29 @@ def test_every_fuzz_request_goes_through_the_wrapped_execute_and_wait(
     os.unlink(result.trace_ref)
     assert result.counters["requests_sent"] == 40
     assert sorted(sent) == sorted(collected) == list(range(1, 41))
+
+
+def test_every_exchange_goes_through_the_wrapped_check_exchange(
+        monkeypatch, bookshop_model, bookshop_sampling):
+    """The benchmark times the checker by wrapping
+    ``generator.check_exchange``; an exchange checked another way would make
+    ``checker.check_us`` read low, or 0."""
+    checked = []
+    wrapped = generator.check_exchange
+
+    def counting_check(plan, *args, **kwargs):
+        checked.append(plan.plan_id)
+        return wrapped(plan, *args, **kwargs)
+
+    monkeypatch.setattr(generator, "check_exchange", counting_check)
+    config = generator.RunConfig(master_seed=1, max_requests=20,
+                                 stop_on_error=False)
+    target = InProcessTarget(BookshopApp())
+    try:
+        result = generator.run(config, bookshop_model, bookshop_sampling,
+                               target=target)
+    finally:
+        target.close()
+    os.unlink(result.trace_ref)
+    assert result.counters["requests_sent"] == 20
+    assert sorted(checked) == list(range(1, 21))

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 
@@ -155,6 +156,33 @@ def test_list_renders_the_last_records_in_table_order(created, size):
     assert status == 200 and len(body) == min(size, 5)
     assert body == [app._render(r)
                     for r in list(app.customers.values())[-5:]]
+
+
+def test_a_list_answers_while_another_thread_creates():
+    """A list reads its table under the lock its creates insert under, so a
+    concurrent create cannot change the table's size mid-read."""
+    app = BookshopApp(list_cap=1000)
+    for _ in range(1000):
+        app.handle("POST", "/authors", body=b'{"name": "Ada"}')
+    stop = threading.Event()
+
+    def create():
+        while not stop.is_set():
+            app.handle("POST", "/authors", body=b'{"name": "Ada"}')
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    writer = threading.Thread(target=create)
+    writer.start()
+    try:
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            status, _, _ = app.handle("GET", "/authors")
+            assert status == 200
+    finally:
+        stop.set()
+        writer.join()
+        sys.setswitchinterval(interval)
 
 
 def test_negative_list_cap_rejected():

@@ -1,15 +1,23 @@
+import gc
 import json
+import re
+import weakref
 from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as st
+
+from apifuzz.bookshop import bookshop_spec_document
 from apifuzz.checker import (
+    SchemaViolation,
     check_exchange,
     check_semantic,
     check_status,
     check_syntactic,
+    matching_response,
     validate_value,
 )
 from apifuzz.http_driver import HttpExchangeResult, execute
-from apifuzz.spec_ingest import SchemaNode
+from apifuzz.spec_ingest import SchemaNode, load_spec
 from apifuzz.state_tracker import StatusPrediction
 
 from test_state_tracker import make_plan, make_result
@@ -255,3 +263,183 @@ def test_validate_value_constraint_coverage():
     assert validate_value("ab", SchemaNode(kind="string", pattern="^x"))[0] \
         .constraint == "pattern"
     assert validate_value({"x": 1}, SchemaNode(kind="any")) == []
+
+
+# --- the compiled validator against the walk it replaced -----------------------------
+
+_REFERENCE_TYPE_CHECKS = {
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+}
+
+
+def reference_validate(value, schema, path="$"):
+    """The interpretive walk ``validate_value`` was before each schema was
+    compiled, kept verbatim as the oracle for the compiled form."""
+    out = []
+    if value is None:
+        if not schema.nullable:
+            out.append(SchemaViolation(path, "nullable",
+                                       "null where the schema does not allow it"))
+        return out
+    if schema.kind == "any":
+        return out
+
+    type_ok = _REFERENCE_TYPE_CHECKS[schema.kind](value)
+    if not type_ok:
+        out.append(SchemaViolation(
+            path, "type",
+            f"expected {schema.kind}, got {type(value).__name__}"))
+        return out
+
+    if schema.enum_values and value not in schema.enum_values:
+        out.append(SchemaViolation(
+            path, "enum", f"{value!r} not among {list(schema.enum_values)}"))
+
+    if schema.kind == "string":
+        if schema.pattern and not re.search(schema.pattern, value):
+            out.append(SchemaViolation(
+                path, "pattern", f"{value!r} does not match {schema.pattern!r}"))
+        if schema.min_length is not None and len(value) < schema.min_length:
+            out.append(SchemaViolation(
+                path, "min_length",
+                f"length {len(value)} < minLength {schema.min_length}"))
+        if schema.max_length is not None and len(value) > schema.max_length:
+            out.append(SchemaViolation(
+                path, "max_length",
+                f"length {len(value)} > maxLength {schema.max_length}"))
+    elif schema.kind in ("integer", "number"):
+        if schema.minimum is not None and value < schema.minimum:
+            out.append(SchemaViolation(
+                path, "minimum", f"{value} < minimum {schema.minimum}"))
+        if schema.maximum is not None and value > schema.maximum:
+            out.append(SchemaViolation(
+                path, "maximum", f"{value} > maximum {schema.maximum}"))
+    elif schema.kind == "array":
+        if schema.min_items is not None and len(value) < schema.min_items:
+            out.append(SchemaViolation(
+                path, "min_items",
+                f"{len(value)} items < minItems {schema.min_items}"))
+        if schema.max_items is not None and len(value) > schema.max_items:
+            out.append(SchemaViolation(
+                path, "max_items",
+                f"{len(value)} items > maxItems {schema.max_items}"))
+        if schema.items is not None:
+            for i, item in enumerate(value):
+                out.extend(reference_validate(item, schema.items, f"{path}[{i}]"))
+    elif schema.kind == "object":
+        for fname in schema.required_fields:
+            if fname not in value:
+                out.append(SchemaViolation(
+                    f"{path}.{fname}", "required",
+                    f"required field {fname!r} is missing"))
+        props = schema.property_map()
+        for fname, fvalue in value.items():
+            if fname in props:
+                out.extend(reference_validate(fvalue, props[fname],
+                                              f"{path}.{fname}"))
+    return out
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d"])
+_SMALL_INTS = st.integers(-3, 6)
+_BOUND = st.none() | _SMALL_INTS
+_LENGTH = st.none() | st.integers(0, 3)
+_SCALARS = (st.none() | st.booleans() | _SMALL_INTS
+            | st.floats(-4, 7, allow_nan=False) | st.text("ab1", max_size=4))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_NAMES, inner, max_size=4),
+    max_leaves=12)
+
+
+def _node(kind, **fields):
+    return st.builds(SchemaNode, kind=st.just(kind), nullable=st.booleans(),
+                     **fields)
+
+
+_ENUMS = st.just(()) | st.lists(_SCALARS, max_size=3).map(tuple)
+_LEAF_SCHEMAS = st.one_of(
+    _node("any", enum_values=_ENUMS),
+    _node("string", enum_values=st.lists(st.text("ab1", max_size=3),
+                                         max_size=3).map(tuple) | _ENUMS
+          | st.just(()),
+          pattern=st.sampled_from([None, "", "^a", "b$", "^[ab]+$", "1|^b",
+                                   "a{2}"]),
+          min_length=_LENGTH, max_length=_LENGTH),
+    _node("integer", enum_values=_ENUMS, minimum=_BOUND, maximum=_BOUND),
+    _node("number", enum_values=_ENUMS,
+          minimum=_BOUND | st.floats(-3, 6, allow_nan=False),
+          maximum=_BOUND | st.floats(-3, 6, allow_nan=False)),
+    _node("boolean", enum_values=_ENUMS))
+_SCHEMAS = st.recursive(
+    _LEAF_SCHEMAS,
+    lambda inner: st.one_of(
+        _node("array", items=st.none() | inner, min_items=_LENGTH,
+              max_items=_LENGTH,
+              enum_values=st.lists(st.lists(_SCALARS, max_size=2),
+                                   max_size=2).map(tuple)),
+        _node("object",
+              properties=st.lists(st.tuples(_NAMES, inner),
+                                  max_size=4).map(tuple),
+              required_fields=st.lists(_NAMES, max_size=3).map(tuple),
+              enum_values=st.lists(st.dictionaries(_NAMES, _SCALARS,
+                                                   max_size=2),
+                                   max_size=2).map(tuple))),
+    max_leaves=8)
+
+
+def _value_like(schema):
+    """Values near the schema's own shape, so that most draws pass some
+    checks and fail others."""
+    if schema.kind == "object":
+        return st.fixed_dictionaries(
+            {}, optional={name: _value_like(node)
+                          for name, node in schema.properties}) | _VALUES
+    if schema.kind == "array" and schema.items is not None:
+        return st.lists(_value_like(schema.items), max_size=4) | _VALUES
+    of_kind = _OF_KIND.get(schema.kind, st.nothing())
+    return of_kind | of_kind | _VALUES
+
+
+_OF_KIND = {"string": st.text("ab1", max_size=5), "integer": _SMALL_INTS,
+            "number": _SMALL_INTS | st.floats(-4, 7, allow_nan=False),
+            "boolean": st.booleans()}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_compiled_validator_equals_the_reference_walk(data):
+    schema = data.draw(_LEAF_SCHEMAS | _SCHEMAS)
+    value = data.draw(_value_like(schema))
+    path = data.draw(st.sampled_from(["$", "$.body"]))
+    assert validate_value(value, schema, path) \
+        == reference_validate(value, schema, path)
+
+
+def test_check_syntactic_keeps_the_first_fifty_violations(bookshop_ir):
+    op = bookshop_ir.operation("GET /customers")
+    body = [_customer_body(name=7, customerId="X") for _ in range(30)]
+    findings = check_syntactic(make_result(200, body), op)
+    expected = reference_validate(body, matching_response(op, 200).body_schema)
+    assert len(expected) == 60
+    assert [(f.json_path, f.constraint) for f in findings] \
+        == [(v.json_path, v.constraint) for v in expected[:50]]
+    assert findings[0].detail.endswith(expected[0].message)
+
+
+def test_compiled_forms_are_freed_with_their_spec():
+    spec = load_spec(bookshop_spec_document())
+    op = spec.operation("GET /customers")
+    assert check_syntactic(make_result(200, [_customer_body()]), op) == []
+    schema = matching_response(op, 200).body_schema
+    assert "validator" in vars(schema) and 200 in op.status_verdicts
+    alive, schema = weakref.ref(spec), weakref.ref(schema)
+    del spec, op
+    gc.collect()
+    assert alive() is None and schema() is None

@@ -4,6 +4,10 @@ import pytest
 import yaml
 
 from apifuzz.bookshop import bookshop_spec_document
+from apifuzz.checker import check_syntactic
+from apifuzz.http_driver import HttpExchangeResult
+from apifuzz.sampling import build_sampling_spec
+from apifuzz.semantic_model import infer_model
 from apifuzz.spec_ingest import (
     ParseError,
     UnresolvedRef,
@@ -294,3 +298,41 @@ def test_lint_deterministic_order(bookshop_ir):
     first = lint_spec(load_spec(doc))
     second = lint_spec(load_spec(doc))
     assert first == second and len(first) >= 3
+
+
+# --- patterns Python cannot compile ----------------------------------------------
+
+def _pattern_spec(pattern: str) -> bytes:
+    return minimal_spec_doc({"/items": {"get": {
+        "parameters": [{"name": "q", "in": "query",
+                        "schema": {"type": "string", "pattern": pattern}}],
+        "responses": {
+            "200": json_response({"type": "object", "properties": {
+                "code": {"type": "string", "pattern": pattern}}}),
+            "400": json_response({"type": "object"})}}}})
+
+
+@pytest.mark.parametrize("pattern", ["([a-z", r"^\p{L}+$"])
+def test_a_pattern_python_cannot_compile_is_dropped_with_a_warning(pattern):
+    ir = load_spec(_pattern_spec(pattern))
+    op = ir.operation("GET /items")
+    assert op.parameters[0].schema.pattern is None
+    assert op.responses[0][1].body_schema.property_map()["code"].pattern \
+        is None
+    dropped = [f for f in lint_spec(ir) if f.rule_id == "unsupported-pattern"]
+    assert [f.location for f in dropped] == [
+        "GET /items#q", "GET /items#response[200].properties.code"]
+    assert all(repr(pattern) in f.message for f in dropped)
+
+
+def test_an_invalid_pattern_neither_stops_sampling_nor_checking():
+    """The query side used to raise in ``build_sampling_spec`` and the
+    response side on the first answer carrying the field."""
+    ir = load_spec(_pattern_spec("([a-z"))
+    model = infer_model(ir)
+    build_sampling_spec(ir, model)
+    op = ir.operation("GET /items")
+    answer = HttpExchangeResult(status=200,
+                                headers={"Content-Type": "application/json"},
+                                body=b'{"code": "x"}', json_body={"code": "x"})
+    assert check_syntactic(answer, op) == []
