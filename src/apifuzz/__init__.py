@@ -49,8 +49,6 @@ from .checker import (
     Finding,
     check_exchange,
     check_semantic,
-    check_status,
-    check_syntactic,
 )
 from .http_driver import HttpExchangeResult, InProcessTarget, NetworkTarget, execute
 from .generator import (
@@ -86,7 +84,6 @@ __all__ = [
     "sample_value", "select_operation",
     "StateStore", "StatusPrediction", "apply_effect", "predict_status",
     "Finding", "check_exchange", "check_semantic",
-    "check_status", "check_syntactic",
     "HttpExchangeResult", "InProcessTarget", "NetworkTarget", "execute",
     "EndpointUnreachable", "RequestPlan", "RunConfig", "RunResult",
     "generate_request", "run",

@@ -1,11 +1,16 @@
 """Run the bookshop fixture as a standalone HTTP service.
 
     python -m apifuzz.bookshop --port 8080 --bug get-missing-customer-500
+
+SIGINT and SIGTERM each stop the server and exit 0, also when the process
+was started with SIGINT ignored (a background job of a non-interactive
+shell is).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import time
 
 from . import ALL_BUGS
@@ -26,13 +31,15 @@ def main(argv=None) -> int:
     parser.add_argument("--list-cap", type=int, default=20,
                         help="max items returned by collection GETs")
     args = parser.parse_args(argv)
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
 
     server = serve(port=args.port, host=args.host, toggles=args.bug,
                    randomize_ids=args.randomize_ids, id_seed=args.id_seed,
                    list_cap=args.list_cap)
-    print(f"bookshop listening on {server.base_url} "
-          f"(bugs: {', '.join(args.bug) or 'none'})")
     try:
+        print(f"bookshop listening on {server.base_url} "
+              f"(bugs: {', '.join(args.bug) or 'none'})")
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -1,14 +1,15 @@
 """Response checking: syntactic, server-error, and semantic.
 
-Three pure checks run over every completed exchange:
+:func:`check_exchange` runs three pure checks over every completed exchange:
 
-* ``check_status``   — the observed status must be declared, and any 5XX is
-  an error, declared or not.
-* ``check_syntactic``— the body must validate against the schema declared for
-  the matched status, constraint by constraint.  A body is JSON by the rule
-  of :func:`~apifuzz.spec_ingest.media_type`, which counts a missing
+* status — the observed status must be declared, and any 5XX is an error,
+  declared or not (:func:`verdict`).
+* syntactic — the body must validate against the schema declared for the
+  matched status, constraint by constraint.  A body is JSON by the rule of
+  :func:`~apifuzz.spec_ingest.media_type`, which counts a missing
   ``Content-Type`` as JSON.
-* ``check_semantic`` — the observed status must fall in the predicted set.
+* semantic — the observed status must fall in the predicted set
+  (:func:`check_semantic`).
 
 Findings are graded ``error`` for schema violations, undefined statuses,
 server errors, and exact-state semantic mismatches.  Two documented
@@ -298,7 +299,7 @@ def validate_value(value: Any, schema: SchemaNode,
 
 class Verdict(NamedTuple):
     """What an operation and a status alone decide: the declared response
-    the status falls under, and the finding ``check_status`` gives it."""
+    the status falls under, and the status finding it gives."""
     response: ResponseDef | None
     status_finding: Finding | None
 
@@ -348,19 +349,6 @@ def matching_response(op: OperationDef, status: int) -> ResponseDef | None:
     """The declared response a status falls under: the exact code, else the
     first class (``2XX``) that matches, else ``default``."""
     return verdict(op, status).response
-
-
-def check_status(response, operation: OperationDef) -> Finding | None:
-    """Flag undeclared statuses and every server error."""
-    return verdict(operation, response.status).status_finding
-
-
-def check_syntactic(response, operation: OperationDef) -> list[Finding]:
-    """Validate the response body against the schema declared for its status."""
-    resp = verdict(operation, response.status).response
-    if resp is None:
-        return []  # undeclared status; check_status already flags it
-    return _check_body(response, operation, resp)
 
 
 def _check_body(response, operation: OperationDef,

@@ -5,14 +5,17 @@ output, and exit codes are stable:
 
 * ``model``    — 0 ok; 1 error-grade lint findings under ``--strict``, or
   bad input (a spec, overrides or an unwritable ``--out``)
-* ``fuzz``     — 0 passed; 1 failed; 2 error (bad input, an unwritable
-  trace or report, an unreachable endpoint), found before the trace opens.
+* ``fuzz``     — 0 passed; 1 failed; 2 error (bad input, a configuration
+  with nothing to draw, an unwritable trace or report, an unreachable
+  endpoint), found before the trace opens and before any request.
   Ctrl-C or SIGTERM stops a run as ``operator-stop``; the report is still
   written, and the exit code is the verdict's
-* ``minimize`` — 0 ok; 2 error (bad input, an unreachable endpoint), found
-  before any replay; 3 finding not reproducible on the full prefix.  It
+* ``minimize`` — 0 ok; 2 error (bad input, a ``--budget`` or
+  ``--replay-attempts`` below 1, an unreachable endpoint), found before any
+  replay; 3 finding not reproducible on the full prefix within the budget.  It
   reports what the shrink cost: oracle calls, replayed requests, wall time
-* ``replay``   — 0 reproduced; 1 not reproduced; 2 error
+* ``replay``   — 0 reproduced; 1 not reproduced; 2 error (an ``--attempts``
+  below 1 among them)
 * ``report``   — 0
 
 Run configuration lives in a JSON file (see ``--config``); flags override
@@ -34,6 +37,7 @@ from .generator import (
     EndpointUnreachable,
     ProgressEvent,
     RunConfig,
+    fuzzed_model,
     run,
     trace_header,
 )
@@ -143,7 +147,7 @@ def cmd_model(args) -> int:
     if args.overrides:
         try:
             with open(args.overrides, "rb") as fh:
-                model = merge_overrides(model, fh.read(), spec, args.threshold)
+                model = merge_overrides(model, fh.read(), spec)
         except (OSError, ModelSchemaError, DanglingReference) as exc:
             print(f"error: invalid overrides: {exc}", file=sys.stderr)
             return 1
@@ -178,13 +182,12 @@ _FLAG_TO_CONFIG = {
     "endpoint": "endpoint", "mode": "mode", "max_in_flight": "max_in_flight",
     "duration": "duration_limit", "max_requests": "max_requests",
     "seed": "master_seed", "timeout": "request_timeout",
-    "warmup": "n_warmup", "threshold": "match_threshold",
-    "store_cap": "store_cap",
+    "warmup": "n_warmup", "store_cap": "store_cap",
 }
 
 
-def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig,
-                                     str, str]:
+def _build_run_config(args) -> tuple[RunConfig, float, WeightTable,
+                                     MixtureConfig, str, str]:
     file_config: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -200,6 +203,12 @@ def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig,
     report_path = file_config.pop("report_path", None) or "apifuzz-report.json"
     if not isinstance(trace_path, str) or not isinstance(report_path, str):
         raise ValueError("trace_path and report_path must be strings")
+    threshold = file_config.pop("match_threshold", DEFAULT_MATCH_THRESHOLD)
+    if args.threshold is not None:
+        threshold = args.threshold
+    if type(threshold) not in (int, float):
+        raise ValueError(f"a value of the wrong type: match_threshold must "
+                         f"be float, not {threshold!r}")
 
     for flag, key in _FLAG_TO_CONFIG.items():
         value = getattr(args, flag, None)
@@ -213,7 +222,7 @@ def _build_run_config(args) -> tuple[RunConfig, WeightTable, MixtureConfig,
         config = RunConfig.from_dict(file_config)
     except TypeError as exc:
         raise ValueError(f"a value of the wrong type: {exc}") from None
-    return (config, weights, mixture, args.trace or trace_path,
+    return (config, threshold, weights, mixture, args.trace or trace_path,
             args.report or report_path)
 
 
@@ -225,7 +234,7 @@ def cmd_fuzz(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        config, weights, mixture, trace_path, report_path = \
+        config, threshold, weights, mixture, trace_path, report_path = \
             _build_run_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: bad run configuration: {exc}", file=sys.stderr)
@@ -238,14 +247,18 @@ def cmd_fuzz(args) -> int:
     if args.model:
         try:
             with open(args.model, "rb") as fh:
-                model = load_model(fh.read(), spec, config.match_threshold)
+                model = load_model(fh.read(), spec, threshold)
         except (OSError, ModelSchemaError, DanglingReference) as exc:
             print(f"error: invalid model file: {exc}", file=sys.stderr)
             return 2
     else:
-        model = infer_model(spec, config.match_threshold)
-    sampling_spec = build_sampling_spec(spec, model, weights, mixture,
-                                        config.match_threshold)
+        model = infer_model(spec, threshold)
+    sampling_spec = build_sampling_spec(spec, model, weights, mixture)
+    try:
+        fuzzed_model(config, model, sampling_spec.weights)
+    except ValueError as exc:
+        print(f"error: bad run configuration: {exc}", file=sys.stderr)
+        return 2
 
     # Opening the trace truncates it, so every input is checked first.
     target = NetworkTarget(config.endpoint, _default_headers(),
@@ -322,8 +335,8 @@ def cmd_minimize(args) -> int:
         return 2
     spec = spec_from_jsonable(header["spec_ir"])
     config = header.get("config") or {}
-    threshold = config.get("match_threshold", DEFAULT_MATCH_THRESHOLD)
-    model = load_model(json.dumps(header["model"]), spec, threshold)
+    model = load_model(json.dumps(header["model"]), spec,
+                       config.get("match_threshold", DEFAULT_MATCH_THRESHOLD))
 
     event_id = args.event
     if event_id is None:
@@ -372,11 +385,10 @@ def cmd_minimize(args) -> int:
         return 2
     oracle = build_replay_oracle(
         model, expected, target_factory, max_in_flight=max_in_flight,
-        attempts=args.replay_attempts, timeout=args.timeout,
-        threshold=threshold)
+        attempts=args.replay_attempts, timeout=args.timeout)
 
     started = time.perf_counter()
-    deps = producer_dependencies(prefix, model, threshold)
+    deps = producer_dependencies(prefix, model)
     try:
         result = minimize(prefix, event_id, oracle, deps,
                           max_oracle_calls=args.budget)
@@ -385,7 +397,7 @@ def cmd_minimize(args) -> int:
         return 3
     shrink_s = time.perf_counter() - started
 
-    script = bind_symbols(result.events, model, expected, threshold,
+    script = bind_symbols(result.events, model, expected,
                           max_in_flight=max_in_flight)
     with open(args.out, "wb") as fh:
         fh.write(script.to_json())
@@ -497,6 +509,14 @@ def cmd_report(args) -> int:
 
 # --- argument parsing ----------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    """A count of at least 1; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_common(parser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
@@ -571,10 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="failing event id (default: last error event)")
     p_min.add_argument("--endpoint", required=True)
     p_min.add_argument("--out", default="recreate-script.json")
-    p_min.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+    p_min.add_argument("--budget", type=positive_int,
+                       default=DEFAULT_ORACLE_BUDGET,
                        help="max replay-oracle calls")
-    p_min.add_argument("--replay-attempts", dest="replay_attempts", type=int,
-                       default=None)
+    p_min.add_argument("--replay-attempts", dest="replay_attempts",
+                       type=positive_int, default=None)
     p_min.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p_min)
     _add_network(p_min)
@@ -583,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="run a recreate script")
     p_replay.add_argument("--script", required=True)
     p_replay.add_argument("--endpoint", required=True)
-    p_replay.add_argument("--attempts", type=int, default=None)
+    p_replay.add_argument("--attempts", type=positive_int, default=None)
     p_replay.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p_replay)
     _add_network(p_replay)

@@ -22,7 +22,7 @@ import json
 import tempfile
 import time
 import types
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, get_args, get_type_hints
 
 from .checker import (
@@ -40,11 +40,12 @@ from .http_driver import (
     render_url,
     wire_str,
 )
-from .naming import DEFAULT_MATCH_THRESHOLD
 from .sampling import (
     KIND_REFERENCE,
     ParameterSamplerSet,
     SamplingSpec,
+    WeightTable,
+    check_selectable,
     sample_value,
     select_operation,
 )
@@ -66,7 +67,6 @@ from .state_tracker import (
 from .trace_recreate import (
     SinkWriteError,
     TraceSink,
-    _id_key_predicate,
     make_trace_event,
 )
 from random import Random
@@ -127,7 +127,6 @@ class RunConfig:
     max_requests: int | None = None
     request_timeout: float = DEFAULT_TIMEOUT
     n_warmup: int = DEFAULT_WARMUP
-    match_threshold: float = DEFAULT_MATCH_THRESHOLD
     store_cap: int = DEFAULT_STORE_CAP
     path_excludes: tuple[str, ...] = ("/_admin",)
 
@@ -289,18 +288,20 @@ def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
 
 # --- run scaffolding --------------------------------------------------------------
 
-def _filtered_model(model: SemanticModel,
-                    path_excludes: tuple[str, ...]) -> SemanticModel:
-    if not path_excludes:
-        return model
+def fuzzed_model(config: RunConfig, model: SemanticModel,
+                 weights: WeightTable) -> SemanticModel:
+    """The model a run draws from: ``model`` without the operations under
+    the config's path excludes.  :class:`ValueError` when none is left, or
+    none that ``weights`` can select."""
     kept = [b for b in model.bindings
             if not any(b.operation_id.split(" ", 1)[1].startswith(prefix)
-                       for prefix in path_excludes)]
-    if len(kept) == len(model.bindings):
-        return model
-    return SemanticModel(resources=model.resources, bindings=kept,
-                         edges=model.edges, provenance=model.provenance,
-                         warnings=model.warnings, spec=model.spec)
+                       for prefix in config.path_excludes)]
+    if not kept:
+        raise ValueError("no operations left to fuzz after path excludes")
+    if len(kept) < len(model.bindings):
+        model = replace(model, bindings=kept)
+    check_selectable(model, weights)
+    return model
 
 
 def _warmup_bindings(model: SemanticModel) -> list[OperationBinding]:
@@ -317,21 +318,18 @@ def _warmup_bindings(model: SemanticModel) -> list[OperationBinding]:
 
 
 class _RunState:
-    def __init__(self, config: RunConfig, model: SemanticModel, target,
-                 trace_sink):
+    def __init__(self, config: RunConfig, model: SemanticModel,
+                 weights: WeightTable, target, trace_sink):
         if model.spec is None:
             raise ValueError("model has no attached spec; load it with one")
         self.config = config
-        self.model = _filtered_model(model, config.path_excludes)
-        if not self.model.bindings:
-            raise ValueError("no operations left to fuzz after path excludes")
+        self.model = fuzzed_model(config, model, weights)
         self.rng = Random(config.master_seed)
         self.store = StateStore(config.store_cap)
         self.warmup = _warmup_bindings(self.model)
         self.ops_by_id = model.spec.operations_by_id()
-        # The rule ``minimize`` binds with: the header's model at the run's
-        # threshold.
-        self.is_id_key = _id_key_predicate(model, config.match_threshold)
+        # The rule ``minimize`` binds with: the header's model.
+        self.is_id_key = model.id_key_predicate()
 
         if target is None:
             if not config.endpoint:
@@ -392,7 +390,7 @@ class _RunState:
         findings = check_exchange(plan, result, self.ops_by_id[op_id],
                                   prediction, exchange_ref=event_id)
         try:
-            apply_effect(plan, result, self.store, self.config.match_threshold)
+            apply_effect(plan, result, self.store, self.model.threshold)
         except IdExtractionFailure as exc:
             counters["id_extraction_failures"] += 1
             if counters["id_extraction_failures"] <= 20:
@@ -452,7 +450,7 @@ class _RunState:
 def trace_header(config: RunConfig, model: SemanticModel) -> dict:
     return {
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config": config.to_dict(),
+        "config": {**config.to_dict(), "match_threshold": model.threshold},
         "spec_ir": spec_to_jsonable(model.spec),
         "model": json.loads(serialize_model(model).decode("utf-8")),
     }
@@ -475,9 +473,10 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
     """Fuzz until a stop condition holds, ``config.max_in_flight`` at a time.
 
     Ctrl-C stops the run as ``operator-stop``; exchanges still in flight
-    then go untraced.
+    then go untraced.  A config that leaves nothing to draw
+    (:func:`fuzzed_model`) raises :class:`ValueError` before any request.
     """
-    state = _RunState(config, model, target, trace_sink)
+    state = _RunState(config, model, sampling_spec.weights, target, trace_sink)
     window = config.max_in_flight
     dispatcher = Dispatcher(window, config.request_timeout)
     in_flight: dict[int, tuple[RequestPlan, StatusPrediction, int]] = {}

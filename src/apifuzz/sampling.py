@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
-from .naming import DEFAULT_MATCH_THRESHOLD
 from .semantic_model import SemanticModel
 from .spec_ingest import ANY_KIND, ApiSpecIR, ParameterDef, SchemaNode
 
@@ -53,7 +52,7 @@ PATTERN_ATTEMPTS = 8
 _ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 
-class NoSelectableOperation(Exception):
+class NoSelectableOperation(ValueError):
     """Every resource/operation weight is zero; nothing can be drawn."""
 
 
@@ -361,11 +360,10 @@ def _domain_for_schema(schema: SchemaNode, mixture_raw: dict[str, float],
 
 
 def _domain_for_parameter(param: ParameterDef, model: SemanticModel,
-                          mixture_raw: dict[str, float],
-                          threshold: float) -> ValueDomain:
+                          mixture_raw: dict[str, float]) -> ValueDomain:
     wire_string = param.location in ("path", "query", "header")
     is_path = param.location == "path"
-    target = model.id_resource(param.name, threshold)
+    target = model.id_resource(param.name)
     if target is not None:
         schema = param.schema
         many = schema.kind == "array"
@@ -389,8 +387,7 @@ def _domain_for_parameter(param: ParameterDef, model: SemanticModel,
 
 def build_sampling_spec(spec: ApiSpecIR, model: SemanticModel,
                         config: WeightTable | None = None,
-                        mixture: MixtureConfig | None = None,
-                        threshold: float = DEFAULT_MATCH_THRESHOLD) -> SamplingSpec:
+                        mixture: MixtureConfig | None = None) -> SamplingSpec:
     """Precompute per-operation, per-parameter value domains and weights."""
     weights = config or WeightTable()
     weights.validate()
@@ -404,8 +401,7 @@ def build_sampling_spec(spec: ApiSpecIR, model: SemanticModel,
         has_body_fields = False
         for param in op.parameters:
             key = ParameterSamplerSet.key_for(param, set(domains))
-            domains[key] = _domain_for_parameter(param, model, mixture_raw,
-                                                 threshold)
+            domains[key] = _domain_for_parameter(param, model, mixture_raw)
             has_body_fields = has_body_fields or param.location == "body-field"
         if op.request_body_schema is not None and not has_body_fields:
             # non-object body (e.g. a bare array): sampled as one value
@@ -468,6 +464,20 @@ class _SelectionTable:
                    sum(w for _, w in entries))
 
 
+def check_selectable(model: SemanticModel,
+                     weights: WeightTable) -> _SelectionTable:
+    """The walk :func:`select_operation` draws from, built again after the
+    model or a weight value changed; :class:`NoSelectableOperation` when no
+    resource has a positively weighted operation."""
+    table = weights._selection
+    if table is None or not table.fits(model, weights):
+        table = weights._selection = _SelectionTable.build(model, weights)
+    if not table.entries:
+        raise NoSelectableOperation(
+            "no resource has a positively weighted operation")
+    return table
+
+
 def select_operation(model: SemanticModel, weights: WeightTable, rng: Random):
     """Two-stage weighted draw: resource by resource weight, then operation.
 
@@ -477,13 +487,8 @@ def select_operation(model: SemanticModel, weights: WeightTable, rng: Random):
     sorted walk is built once per model and set of weight values, and built
     again on the first call after a weight changes.
     """
-    table = weights._selection
-    if table is None or not table.fits(model, weights):
-        table = weights._selection = _SelectionTable.build(model, weights)
     u1, u2 = rng.random(), rng.random()
-    if not table.entries:
-        raise NoSelectableOperation(
-            "no resource has a positively weighted operation")
+    table = check_selectable(model, weights)
     _, ops, ops_total = _pick_below(table.entries, u1 * table.total)
     return _pick_below(ops, u2 * ops_total)
 

@@ -15,15 +15,19 @@ model serializes to a reviewable JSON file; user edits merge back with
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .naming import DEFAULT_MATCH_THRESHOLD, ID_SUFFIX_TOKENS, match_names, normalize_name, tokenize
 from .spec_ingest import (ApiSpecIR, LintFinding, OperationDef, SchemaNode,
                           success_body_schemas)
 
 MODEL_VERSION = 1
+# Distinct response keys an id predicate remembers its answer for.
+ID_KEY_MEMO = 4096
 
 CRUD_KINDS = ("create", "read", "read-list", "update", "delete", "other")
 
@@ -69,6 +73,9 @@ class SemanticModel:
     provenance: dict[str, str] = field(default_factory=dict)
     warnings: list[LintFinding] = field(default_factory=list)
     spec: ApiSpecIR | None = None  # backref for convenience; not part of identity
+    # The name-match threshold the model was inferred or loaded at; the
+    # model file does not hold it, so it is not part of identity either.
+    threshold: float = DEFAULT_MATCH_THRESHOLD
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemanticModel):
@@ -92,9 +99,9 @@ class SemanticModel:
             raise ValueError("model has no attached spec")
         return self.spec.operation(binding.operation_id)
 
-    def id_resource(self, name: str, threshold: float) -> str | None:
+    def id_resource(self, name: str) -> str | None:
         """The resource whose id fields ``name`` matches best, if that score
-        reaches ``threshold``; the first by resource name on a tie."""
+        reaches the model's threshold; the first by resource name on a tie."""
         best_score, best_name = 0.0, None
         for resource in sorted(self.resources, key=lambda r: r.name):
             if not resource.id_field_names:
@@ -103,9 +110,20 @@ class SemanticModel:
                         for idf in resource.id_field_names)
             if score > best_score:
                 best_score, best_name = score, resource.name
-        if best_score >= threshold:
+        if best_score >= self.threshold:
             return best_name
         return None
+
+    def id_key_predicate(self) -> Callable[[str], bool]:
+        """Whether a response key holds an id: a bare ``id``, or a name that
+        matches some resource's id fields.  Memoized for the predicate's
+        lifetime, up to :data:`ID_KEY_MEMO` keys, since the server picks them;
+        a run builds one for its trace, and each ``bind_symbols`` call one."""
+        @functools.lru_cache(maxsize=ID_KEY_MEMO)
+        def is_id_key(key: str) -> bool:
+            return tokenize(key) == ["id"] or self.id_resource(key) is not None
+
+        return is_id_key
 
 
 # --- provenance keys ---------------------------------------------------------
@@ -306,7 +324,8 @@ def infer_model(spec: ApiSpecIR,
         provenance[_ekey(e)] = PROVENANCE_INFERRED
 
     return SemanticModel(resources=resources, bindings=bindings, edges=edges,
-                         provenance=provenance, warnings=warnings, spec=spec)
+                         provenance=provenance, warnings=warnings, spec=spec,
+                         threshold=threshold)
 
 
 def topological_order(model: SemanticModel) -> list[str]:
@@ -493,18 +512,19 @@ def load_model(document: bytes | str, spec: ApiSpecIR,
         provenance=provenance,
         warnings=[],
         spec=spec,
+        threshold=threshold,
     )
 
 
 def merge_overrides(model: SemanticModel, overrides: bytes | str,
-                    spec: ApiSpecIR,
-                    threshold: float = DEFAULT_MATCH_THRESHOLD) -> SemanticModel:
+                    spec: ApiSpecIR) -> SemanticModel:
     """Apply a partial model document on top of a model.
 
     Each entry updates the same-keyed entry of ``serialize_model(model)``
     or is appended; one carrying ``"remove": true`` deletes its target.
-    The result is read back through :func:`load_model`, so it is checked
-    and tagged as a model file is, and keeps the base model's warnings.
+    The result is read back through :func:`load_model` at the model's
+    threshold, so it is checked and tagged as a model file is, and keeps
+    the base model's warnings.
     """
     doc = _parse_model_doc(overrides)
     _validate_sections(doc, required_version=False)
@@ -523,6 +543,6 @@ def merge_overrides(model: SemanticModel, overrides: bytes | str,
             else:
                 entries.pop(key, None)
         merged[section] = list(entries.values())
-    result = load_model(json.dumps(merged), spec, threshold)
+    result = load_model(json.dumps(merged), spec, model.threshold)
     result.warnings = list(model.warnings)
     return result

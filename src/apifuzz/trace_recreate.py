@@ -32,7 +32,6 @@ can only fail to resolve.
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import json
 import math
@@ -44,7 +43,7 @@ from typing import Any, Callable, Sequence
 
 from .checker import Finding, matching_response, validate_value
 from .http_driver import DEFAULT_TIMEOUT, Dispatcher, execute, render_url
-from .naming import DEFAULT_MATCH_THRESHOLD, tokenize
+from .naming import tokenize
 from .semantic_model import SemanticModel
 from .spec_ingest import (
     ApiSpecIR,
@@ -66,8 +65,6 @@ TRACE_BODY_LIMIT = 4096
 # The sink flushes its file when this many seconds have passed since the last
 # flush, and on close.
 FLUSH_INTERVAL = 1.0
-# Distinct response keys an id predicate remembers its answer for.
-ID_KEY_MEMO = 4096
 
 # One compact line per record.  A record is a tree of parsed JSON and fresh
 # dicts, never a cycle, so the encoder skips the cycle check.
@@ -131,9 +128,15 @@ class TraceEvent:
     def from_dict(cls, data: dict) -> "TraceEvent":
         if not isinstance(data, dict) or type(data.get("event_id")) is not int \
                 or not isinstance(data.get("plan"), dict) \
-                or type(data["plan"].get("plan_id")) is not int:
+                or type(data["plan"].get("plan_id")) is not int \
+                or not isinstance(data["plan"].get("operation"), str):
             raise ValueError("not an object with an integer event_id and "
-                             "a plan object with an integer plan_id")
+                             "a plan object with an integer plan_id and "
+                             "a string operation")
+        if type(data.get("status")) not in (int, type(None)) \
+                or type(data.get("dispatch_epoch", 0)) is not int:
+            raise ValueError("a status that is not an integer or null, or "
+                             "a dispatch_epoch that is not an integer")
         return cls(
             event_id=data["event_id"],
             plan=data["plan"],
@@ -157,8 +160,8 @@ def make_trace_event(event_id: int, plan_wire: dict, result, findings,
 
     An event with no finding keeps only what replay reads: of a 2XX JSON
     body the ids :func:`bind_symbols` registers (:func:`_project_ids`, by
-    ``is_id_key``, the run's :func:`_id_key_predicate`), of any other body
-    nothing, and in both cases a ``body_digest``.  It leaves out the
+    ``is_id_key``, the run's ``SemanticModel.id_key_predicate``), of any
+    other body nothing, and in both cases a ``body_digest``.  It leaves out the
     response headers.  An event with a finding is kept whole, and then a
     non-UTF-8 body is base64-encoded.  Either way a body above
     :data:`TRACE_BODY_LIMIT` bytes, judged before projecting, is replaced
@@ -309,11 +312,12 @@ def read_trace(path: str) -> tuple[dict, list[TraceEvent]]:
     A last line without its newline that does not parse was torn by an
     interrupted write; it is skipped with a warning.  A malformed line
     anywhere else raises :class:`ValueError` naming it: one that does not
-    parse, a header that is not an object, an event without an
-    ``event_id`` or a ``plan`` with a ``plan_id``, a finding without a
-    ``grade``, ``kind`` or ``detail``.  So does any other version: an
-    older trace runs on another clock, and the recreate script, not the
-    trace, is what a regression keeps.
+    parse, a header that is not an object, an event without an integer
+    ``event_id``, ``dispatch_epoch`` and ``status`` (or a null one) or a
+    ``plan`` with an integer ``plan_id`` and a string ``operation``, a
+    finding without a ``grade``, ``kind`` or ``detail``.  So does any other
+    version: an older trace runs on another clock, and the recreate script,
+    not the trace, is what a regression keeps.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -431,20 +435,6 @@ class _ProducerRegistry:
         return max(eligible, key=lambda e: ("[" not in e[1], e))
 
 
-def _id_key_predicate(model: SemanticModel,
-                      threshold: float) -> Callable[[str], bool]:
-    """Whether a response key holds an id: a bare ``id``, or a name that
-    matches some resource's id fields.  Memoized for the predicate's
-    lifetime, up to :data:`ID_KEY_MEMO` keys, since the server picks them;
-    a run builds one for its trace, and each ``bind_symbols`` call one."""
-    @functools.lru_cache(maxsize=ID_KEY_MEMO)
-    def is_id_key(key: str) -> bool:
-        return tokenize(key) == ["id"] \
-            or model.id_resource(key, threshold) is not None
-
-    return is_id_key
-
-
 @dataclass
 class RecreateScript:
     steps: list[dict]
@@ -551,7 +541,6 @@ def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,
 
 def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
                  expected_failure: dict | None = None,
-                 threshold: float = DEFAULT_MATCH_THRESHOLD,
                  max_in_flight: int = 1,
                  attempts: int | None = None) -> RecreateScript:
     """Lift cross-request id flows into symbols and emit a replayable script.
@@ -570,7 +559,7 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
     :data:`DEFAULT_RACE_ATTEMPTS`.
     """
     completion_order = sorted(trace, key=lambda e: e.event_id)
-    is_id_key = _id_key_predicate(model, threshold)
+    is_id_key = model.id_key_predicate()
 
     # pass 1: collect every produced id with its completion time
     registry = _ProducerRegistry()
@@ -876,12 +865,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def producer_dependencies(events: Sequence[TraceEvent], model: SemanticModel,
-                          threshold: float = DEFAULT_MATCH_THRESHOLD
-                          ) -> dict[int, set[int]]:
+def producer_dependencies(events: Sequence[TraceEvent],
+                          model: SemanticModel) -> dict[int, set[int]]:
     """Direct producer event ids required by each consumer event."""
-    script = bind_symbols(events, model, expected_failure={"kind": "analysis"},
-                          threshold=threshold)
+    script = bind_symbols(events, model, expected_failure={"kind": "analysis"})
     deps: dict[int, set[int]] = {}
     for binding in script.bindings:
         producer_eid = binding["producer"][0]
@@ -898,7 +885,8 @@ def minimize(trace: Sequence[TraceEvent], failing_event: int,
 
     ``oracle(events)`` replays a candidate subsequence and reports whether the
     original finding re-occurred.  The full prefix must reproduce at least
-    once in :data:`INITIAL_ATTEMPTS` tries, else :class:`NotReproducible`.  When
+    once in :data:`INITIAL_ATTEMPTS` tries, or in the whole budget when that
+    is smaller, else :class:`NotReproducible`.  When
     ``dependencies`` (consumer -> producer event ids) is given, removing a
     producer cascades its transitive consumers out of the candidate instead
     of spending an oracle call on an unresolvable sequence.  A delta-debugging
@@ -938,13 +926,13 @@ def minimize(trace: Sequence[TraceEvent], failing_event: int,
         calls += 1
         return oracle(candidate)
 
-    for _ in range(INITIAL_ATTEMPTS):
+    for _ in range(min(INITIAL_ATTEMPTS, max_oracle_calls)):
         if test(prefix):
             break
     else:
         raise NotReproducible(
             f"finding at event {failing_event} did not reproduce in "
-            f"{INITIAL_ATTEMPTS} replays of the full {len(prefix)}-event prefix")
+            f"{calls} replays of the full {len(prefix)}-event prefix")
 
     kept = [e for e in prefix if e.event_id != failing_event]
     proven = True
@@ -996,8 +984,7 @@ def build_replay_oracle(model: SemanticModel, expected_failure: dict,
                         target_factory: Callable[[], Any],
                         max_in_flight: int = 1,
                         attempts: int | None = None,
-                        timeout: float = DEFAULT_TIMEOUT,
-                        threshold: float = DEFAULT_MATCH_THRESHOLD
+                        timeout: float = DEFAULT_TIMEOUT
                         ) -> Callable[[Sequence[TraceEvent]], bool]:
     """Oracle that replays candidate subsequences against fresh SUT targets.
 
@@ -1007,7 +994,6 @@ def build_replay_oracle(model: SemanticModel, expected_failure: dict,
     """
     def oracle(events: Sequence[TraceEvent]) -> bool:
         script = bind_symbols(events, model, expected_failure=expected_failure,
-                              threshold=threshold,
                               max_in_flight=max_in_flight, attempts=attempts)
         target = target_factory()
         try:

@@ -1,10 +1,14 @@
 import json
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import apifuzz
 from apifuzz.bookshop import (
     ALL_BUGS,
     BookshopApp,
@@ -372,3 +376,25 @@ def test_serve_and_port_in_use():
             serve(port=server.port)
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["sigint", "sigterm"])
+def test_the_standalone_server_stops_on_the_signal_it_is_sent(signum):
+    """Also when started with SIGINT ignored, as a background job of a
+    non-interactive shell is."""
+    src = os.path.dirname(os.path.dirname(apifuzz.__file__))
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "apifuzz.bookshop", "--port", "0"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        assert "listening on" in proc.stdout.readline()
+        proc.send_signal(signum)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()

@@ -11,10 +11,9 @@ from apifuzz.checker import (
     SchemaViolation,
     check_exchange,
     check_semantic,
-    check_status,
-    check_syntactic,
     matching_response,
     validate_value,
+    verdict,
 )
 from apifuzz.http_driver import HttpExchangeResult, execute
 from apifuzz.spec_ingest import SchemaNode, load_spec
@@ -31,22 +30,26 @@ def prediction(expected, basis="exact-state"):
     return StatusPrediction(frozenset(expected), basis, "test")
 
 
+def _checked(result, op):
+    """What a run finds in one exchange, with no status prediction."""
+    return check_exchange(make_plan(), result, op, None)
+
+
 # --- status checking ------------------------------------------------------------
 
 def test_undeclared_500_is_error(bookshop_ir):
-    finding = check_status(make_result(500, {"error": "boom"}),
-                           _op(bookshop_ir))
+    finding = verdict(_op(bookshop_ir), 500).status_finding
     assert finding.kind == "server-error-5xx"
     assert finding.grade == "error"
 
 
 def test_declared_matching_status_is_clean(bookshop_ir):
-    assert check_status(make_result(200, {}), _op(bookshop_ir)) is None
-    assert check_status(make_result(404, {"error": "x"}), _op(bookshop_ir)) is None
+    assert verdict(_op(bookshop_ir), 200).status_finding is None
+    assert verdict(_op(bookshop_ir), 404).status_finding is None
 
 
 def test_undeclared_status_is_flagged(bookshop_ir):
-    finding = check_status(make_result(302, {}), _op(bookshop_ir))
+    finding = verdict(_op(bookshop_ir), 302).status_finding
     assert finding.kind == "undefined-status"
     assert finding.observed == 302
 
@@ -61,10 +64,10 @@ def test_declared_5xx_is_still_an_error():
             "503": {"description": "declared overload"}}}},
     }))
     op = ir.operation("GET /busy")
-    declared = check_status(make_result(503), op)
+    declared = verdict(op, 503).status_finding
     assert declared is not None and declared.kind == "server-error-5xx"
     assert declared.grade == "error"
-    undeclared = check_status(make_result(500), op)
+    undeclared = verdict(op, 500).status_finding
     assert undeclared is not None and undeclared.kind == "server-error-5xx"
 
 
@@ -79,12 +82,12 @@ def _customer_body(**overrides):
 
 def test_conforming_body_has_no_findings(bookshop_ir):
     result = make_result(200, _customer_body())
-    assert check_syntactic(result, _op(bookshop_ir)) == []
+    assert _checked(result, _op(bookshop_ir)) == []
 
 
 def test_null_in_non_nullable_field_is_flagged(bookshop_ir):
     result = make_result(200, _customer_body(creationTimestamp=None))
-    findings = check_syntactic(result, _op(bookshop_ir))
+    findings = _checked(result, _op(bookshop_ir))
     assert len(findings) == 1
     assert findings[0].kind == "schema-violation"
     assert findings[0].grade == "error"
@@ -95,7 +98,7 @@ def test_null_in_non_nullable_field_is_flagged(bookshop_ir):
 def test_missing_required_field_names_the_field(bookshop_ir):
     body = _customer_body()
     del body["name"]
-    findings = check_syntactic(make_result(200, body), _op(bookshop_ir))
+    findings = _checked(make_result(200, body), _op(bookshop_ir))
     assert any(f.constraint == "required" and f.json_path == "$.name"
                for f in findings)
 
@@ -104,14 +107,14 @@ def test_malformed_body_yields_single_finding(bookshop_ir):
     result = HttpExchangeResult(
         status=200, headers={"Content-Type": "application/json"},
         body=b"{nope", json_body=None, json_error="bad json")
-    findings = check_syntactic(result, _op(bookshop_ir))
+    findings = _checked(result, _op(bookshop_ir))
     assert len(findings) == 1
     assert findings[0].constraint == "malformed-body"
 
 
 def test_empty_body_where_schema_declared(bookshop_ir):
     result = HttpExchangeResult(status=200, headers={}, body=b"")
-    findings = check_syntactic(result, _op(bookshop_ir))
+    findings = _checked(result, _op(bookshop_ir))
     assert len(findings) == 1 and findings[0].grade == "error"
 
 
@@ -119,7 +122,7 @@ def test_non_json_content_type_gets_info_finding(bookshop_ir):
     result = HttpExchangeResult(
         status=200, headers={"Content-Type": "text/html"},
         body=b"<html></html>")
-    findings = check_syntactic(result, _op(bookshop_ir))
+    findings = _checked(result, _op(bookshop_ir))
     assert len(findings) == 1
     assert findings[0].grade == "info"
 
@@ -139,25 +142,26 @@ def test_body_without_content_type_is_checked_as_json(bookshop_ir):
                            headers={}, body=None)
     valid = execute(plan, _HeaderlessTarget(
         json.dumps(_customer_body()).encode()))
-    assert check_syntactic(valid, _op(bookshop_ir)) == []
+    assert _checked(valid, _op(bookshop_ir)) == []
 
     unparseable = execute(plan, _HeaderlessTarget(b"{nope"))
-    findings = check_syntactic(unparseable, _op(bookshop_ir))
+    findings = _checked(unparseable, _op(bookshop_ir))
     assert [(f.grade, f.constraint) for f in findings] == \
         [("error", "malformed-body")]
 
 
 def test_undeclared_status_skips_syntactic_check(bookshop_ir):
     result = make_result(302, {"weird": True})
-    assert check_syntactic(result, _op(bookshop_ir)) == []
+    assert [f.kind for f in _checked(result, _op(bookshop_ir))] == \
+        ["undefined-status"]
 
 
 def test_list_response_items_are_validated(bookshop_ir):
     op = bookshop_ir.operation("GET /customers")
     good = make_result(200, [_customer_body()])
-    assert check_syntactic(good, op) == []
+    assert _checked(good, op) == []
     bad = make_result(200, [_customer_body(), _customer_body(name=7)])
-    findings = check_syntactic(bad, op)
+    findings = _checked(bad, op)
     assert any(f.json_path == "$[1].name" and f.constraint == "type"
                for f in findings)
 
@@ -207,15 +211,6 @@ def test_checks_are_pure_and_repeatable(bookshop_ir):
     second = check_exchange(plan, result, op, prediction({"2XX"}))
     assert first == second
     assert {f.kind for f in first} == {"server-error-5xx", "semantic-mismatch"}
-
-
-def test_status_and_syntactic_findings_commute(bookshop_ir):
-    op = _op(bookshop_ir)
-    result = make_result(200, _customer_body(creationTimestamp=None))
-    status_first = [check_status(result, op)] + check_syntactic(result, op)
-    syntactic_first = check_syntactic(result, op) + [check_status(result, op)]
-    assert {(f.kind, f.detail) for f in status_first if f is not None} == \
-        {(f.kind, f.detail) for f in syntactic_first if f is not None}
 
 
 def test_grade_mapping_under_default_policy(bookshop_ir):
@@ -425,7 +420,7 @@ def test_compiled_validator_equals_the_reference_walk(data):
 def test_check_syntactic_keeps_the_first_fifty_violations(bookshop_ir):
     op = bookshop_ir.operation("GET /customers")
     body = [_customer_body(name=7, customerId="X") for _ in range(30)]
-    findings = check_syntactic(make_result(200, body), op)
+    findings = _checked(make_result(200, body), op)
     expected = reference_validate(body, matching_response(op, 200).body_schema)
     assert len(expected) == 60
     assert [(f.json_path, f.constraint) for f in findings] \
@@ -436,7 +431,7 @@ def test_check_syntactic_keeps_the_first_fifty_violations(bookshop_ir):
 def test_compiled_forms_are_freed_with_their_spec():
     spec = load_spec(bookshop_spec_document())
     op = spec.operation("GET /customers")
-    assert check_syntactic(make_result(200, [_customer_body()]), op) == []
+    assert _checked(make_result(200, [_customer_body()]), op) == []
     schema = matching_response(op, 200).body_schema
     assert "validator" in vars(schema) and 200 in op.status_verdicts
     alive, schema = weakref.ref(spec), weakref.ref(schema)

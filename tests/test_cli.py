@@ -295,9 +295,9 @@ def test_fuzz_refuses_a_model_file_with_malformed_id_fields(
 @pytest.mark.parametrize("file_config", [
     {"weights": 5}, {"mixture": 5}, {"path_excludes": 5}, {"trace_path": 5},
     {"max_requests": "5"}, {"duration_limit": "30"},
-    {"stop_on_error": "no", "max_requests": 20},
+    {"stop_on_error": "no", "max_requests": 20}, {"match_threshold": "0.6"},
 ], ids=["weights", "mixture", "run-config-field", "path", "max-requests",
-        "duration-limit", "stop-on-error"])
+        "duration-limit", "stop-on-error", "match-threshold"])
 def test_fuzz_refuses_a_config_value_of_the_wrong_type(
         spec_file, clean_server, tmp_path, capsys, file_config):
     config = tmp_path / "run.json"
@@ -311,6 +311,34 @@ def test_fuzz_refuses_a_config_value_of_the_wrong_type(
                    "--report", str(tmp_path / "r.json")) == 2
     assert capsys.readouterr().err.startswith("error: bad run configuration")
     assert trace.read_bytes() == before
+
+
+@pytest.mark.parametrize("file_config, flags", [
+    ({"weights": {"per_resource": {name: 0 for name in
+                                   ("author", "book", "customer", "order")}}},
+     ()),
+    ({}, ("--exclude", "/")),
+], ids=["every-resource-zero", "every-path-excluded"])
+def test_fuzz_refuses_a_config_with_nothing_to_draw(
+        spec_file, clean_server, tmp_path, capsys, monkeypatch, file_config,
+        flags):
+    """Refused before any request: the trace is kept, no report written."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_config))
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"trace_version": 3}\n')
+    before = trace.read_bytes()
+    handled = []
+    monkeypatch.setattr(clean_server.app, "handle",
+                        lambda *args, **kwargs: handled.append(args))
+    assert run_cli("fuzz", spec_file, "--config", str(config), *flags,
+                   "--endpoint", clean_server.base_url,
+                   "--trace", str(trace),
+                   "--report", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err.startswith("error: bad run configuration")
+    assert trace.read_bytes() == before
+    assert not (tmp_path / "r.json").exists()
+    assert handled == []
 
 
 def test_fuzz_refuses_a_missing_model_file(spec_file, tmp_path, capsys):
@@ -539,8 +567,9 @@ def test_minimize_resets_through_the_run_target(failing_trace, tmp_path,
 
 def test_minimize_binds_ids_at_the_run_threshold(spec_file, tmp_path,
                                                  monkeypatch):
-    """A run fuzzed at ``--threshold 0.6`` is minimized at 0.6: the model,
-    the dependencies, the oracle's scripts and the final script."""
+    """A run fuzzed at ``--threshold 0.6`` is minimized at 0.6: the model
+    is loaded at it, and the model the dependencies, the oracle's scripts
+    and the final script get carries it."""
     takers = ("load_model", "producer_dependencies", "build_replay_oracle",
               "bind_symbols")
     server = serve(port=0, toggles=["delete-customer-500"])
@@ -556,8 +585,10 @@ def test_minimize_binds_ids_at_the_run_threshold(spec_file, tmp_path,
                           **kwargs):
                 bound = inspect.signature(_call).bind(*args, **kwargs)
                 bound.apply_defaults()
+                given = bound.arguments
                 thresholds.setdefault(_name, set()).add(
-                    bound.arguments["threshold"])
+                    given["threshold"] if _name == "load_model"
+                    else given["model"].threshold)
                 return _call(*args, **kwargs)
             monkeypatch.setattr(cli, name, recording)
         assert run_cli("minimize", "--trace", trace,
@@ -566,6 +597,19 @@ def test_minimize_binds_ids_at_the_run_threshold(spec_file, tmp_path,
     finally:
         server.stop()
     assert thresholds == {name: {0.6} for name in takers}
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimize", "--trace", "t.jsonl", "--budget", "0"),
+    ("minimize", "--trace", "t.jsonl", "--replay-attempts", "0"),
+    ("replay", "--script", "s.json", "--attempts", "0"),
+    ("replay", "--script", "s.json", "--attempts", "-3"),
+], ids=["budget", "replay-attempts", "attempts", "negative-attempts"])
+def test_a_count_below_one_exits_two_before_any_replay(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--endpoint", "http://127.0.0.1:9")
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_replay_malformed_script_exits_two(tmp_path, clean_server):

@@ -365,6 +365,22 @@ def test_path_excludes_filter_operations(bookshop_ir, bookshop_model):
     _drop_trace(result)
 
 
+@pytest.mark.parametrize("excludes, weights", [
+    (("/",), WeightTable()),
+    ((), WeightTable(per_resource={name: 0.0 for name in
+                                   ("author", "book", "customer", "order")})),
+], ids=["every-path-excluded", "every-resource-zero"])
+def test_a_run_with_nothing_to_draw_raises_before_any_request(
+        bookshop_ir, bookshop_model, excludes, weights):
+    sampling = build_sampling_spec(bookshop_ir, bookshop_model, weights)
+    app = DigestingApp()
+    untouched = app.digest.hexdigest()
+    with pytest.raises(ValueError):
+        run(RunConfig(max_requests=50, path_excludes=excludes),
+            bookshop_model, sampling, target=InProcessTarget(app))
+    assert app.digest.hexdigest() == untouched
+
+
 # --- wider windows (concurrent) ------------------------------------------------------
 
 def test_concurrent_in_flight_bound_respected(bookshop_ir, bookshop_model,

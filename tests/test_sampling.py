@@ -84,6 +84,33 @@ def test_item_path_parameter_references_own_resource(bookshop_sampling):
     assert domain.target_resource == "book"
 
 
+def test_references_follow_the_threshold_the_model_was_inferred_at():
+    """``bookAuthorNameId`` scores 0.667 against ``bookAuthorId``: a model
+    inferred at 0.6 makes it an edge, and sampling reads that model's
+    threshold, so it is drawn as a reference too."""
+    ir = load_spec(minimal_spec_doc({
+        "/book-authors": {"post": {"responses": {"201": json_response({
+            "type": "object", "properties": {
+                "bookAuthorId": {"type": "string"},
+                "name": {"type": "string"}}})}}},
+        "/things": {"post": {
+            "requestBody": {"content": {"application/json": {"schema": {
+                "type": "object", "properties": {
+                    "bookAuthorNameId": {"type": "string"}}}}}},
+            "responses": {"201": json_response({
+                "type": "object", "properties": {
+                    "thingId": {"type": "string"}}})}}},
+    }))
+    model = infer_model(ir, 0.6)
+    assert [(e.dependent, e.prerequisite, e.via_parameter)
+            for e in model.edges] == \
+        [("thing", "book_author", "bookAuthorNameId")]
+    domain = domain_for(build_sampling_spec(ir, model).sampler_set(
+        "POST /things"), "bookAuthorNameId")
+    assert domain.kind == KIND_REFERENCE
+    assert domain.target_resource == "book_author"
+
+
 def test_every_operation_and_parameter_has_a_domain(bookshop_ir,
                                                     bookshop_model,
                                                     bookshop_sampling):

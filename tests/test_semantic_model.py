@@ -18,7 +18,6 @@ from apifuzz.semantic_model import (
     topological_order,
 )
 from apifuzz.spec_ingest import LintFinding, load_spec
-from apifuzz.trace_recreate import _id_key_predicate
 
 from conftest import edge_set, json_response, minimal_spec_doc
 
@@ -332,7 +331,7 @@ def _reference_target(name, model, threshold):
 
 
 def _make_id_key_matcher(model, binding_resource, threshold):
-    """Verbatim copy of the replay matcher that ``_id_key_predicate`` replaced."""
+    """Verbatim copy of the replay matcher that ``id_key_predicate`` replaced."""
     resources = sorted(model.resources, key=lambda r: r.name)
 
     def matcher(key):
@@ -400,10 +399,11 @@ _ID_THRESHOLDS = (0.5, 0.8, 1.0)
 
 def _assert_one_id_rule(model, names):
     for threshold in _ID_THRESHOLDS:
-        is_id_key = _id_key_predicate(model, threshold)
+        at = dataclasses.replace(model, threshold=threshold)
+        is_id_key = at.id_key_predicate()
         matcher = _make_id_key_matcher(model, "binding", threshold)
         for name in names:
-            assert model.id_resource(name, threshold) == \
+            assert at.id_resource(name) == \
                 _reference_target(name, model, threshold), (name, threshold)
             assert is_id_key(name) == (matcher(name) is not None), \
                 (name, threshold)

@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from apifuzz.bookshop import bookshop_spec_document
-from apifuzz.checker import check_syntactic
+from apifuzz.checker import check_exchange
 from apifuzz.http_driver import HttpExchangeResult
 from apifuzz.sampling import build_sampling_spec
 from apifuzz.semantic_model import infer_model
@@ -22,6 +22,7 @@ from apifuzz.spec_ingest import (
 )
 
 from conftest import json_response, minimal_spec_doc
+from test_state_tracker import make_plan
 
 
 # --- loading -------------------------------------------------------------------
@@ -335,4 +336,4 @@ def test_an_invalid_pattern_neither_stops_sampling_nor_checking():
     answer = HttpExchangeResult(status=200,
                                 headers={"Content-Type": "application/json"},
                                 body=b'{"code": "x"}', json_body={"code": "x"})
-    assert check_syntactic(answer, op) == []
+    assert check_exchange(make_plan(), answer, op, None) == []

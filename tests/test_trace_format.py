@@ -1,6 +1,7 @@
 """The trace format: what an event keeps, how the sink writes it, and that
 a trace of another version or with a malformed line is refused."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -21,7 +22,6 @@ from apifuzz.trace_recreate import (
     TRACE_VERSION,
     SinkWriteError,
     TraceSink,
-    _id_key_predicate,
     _iter_produced_ids,
     _project_ids,
     make_trace_event,
@@ -34,7 +34,8 @@ RUN = dict(master_seed=3, max_requests=60, stop_on_error=False)
 
 @pytest.fixture(scope="module")
 def is_id_key(bookshop_model):
-    return _id_key_predicate(bookshop_model, DEFAULT_MATCH_THRESHOLD)
+    return dataclasses.replace(
+        bookshop_model, threshold=DEFAULT_MATCH_THRESHOLD).id_key_predicate()
 
 
 # --- the id projection ---------------------------------------------------------------
@@ -231,9 +232,15 @@ def _with_findings(records):
     (lambda records: _with_findings(records)["findings"][0].pop("detail"),
      None),
     (lambda records: _with_findings(records).__setitem__("findings", 5), None),
+    (lambda records: records[1].__setitem__("status", "200"), 2),
+    (lambda records: records[1].__setitem__("dispatch_epoch", "0"), 2),
+    (lambda records: records[1]["plan"].__setitem__("operation",
+                                                     ["GET", "/books"]), 2),
 ], ids=["header-not-object", "no-event-id", "no-plan", "plan-not-object",
         "no-plan-id", "plan-id-not-an-int",
-        "no-grade", "no-kind", "no-detail", "findings-not-a-list"])
+        "no-grade", "no-kind", "no-detail", "findings-not-a-list",
+        "status-not-an-int", "dispatch-epoch-not-an-int",
+        "operation-not-a-string"])
 def test_a_malformed_trace_is_refused_naming_its_line(tmp_path, capsys,
                                                       fuzzed_records,
                                                       mutate, lineno):

@@ -1064,6 +1064,24 @@ def test_minimize_flaky_failure_raises_not_reproducible(bookshop_model):
     assert len(calls) == 3  # 0/3 replays of the full prefix
 
 
+@pytest.mark.parametrize("budget", [0, 2])
+def test_a_budget_spent_on_the_full_prefix_is_not_reproducible(budget):
+    """A budget that runs out before the full prefix reproduced raises
+    :class:`NotReproducible`, after spending just that budget."""
+    events = [event(1, plan_dict("GET /boom"), status=500,
+                    findings=[error_finding()])]
+    calls = []
+
+    def never_reproduces(candidate):
+        calls.append(len(candidate))
+        return False
+
+    with pytest.raises(NotReproducible,
+                       match=f"did not reproduce in {budget} replays"):
+        minimize(events, 1, never_reproduces, max_oracle_calls=budget)
+    assert len(calls) == budget
+
+
 def test_minimize_missing_event_raises(bookshop_model):
     with pytest.raises(ValueError):
         minimize([], 5, lambda e: True)
