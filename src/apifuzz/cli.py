@@ -1,7 +1,9 @@
 """Command-line surface: model | fuzz | minimize | replay | report.
 
 Every subcommand is scriptable: ``--json`` switches to machine-readable
-output, and exit codes are stable:
+output, and exit codes are stable.  Every refusal of input a command cannot
+run on is one ``error: …`` line on stderr and that command's error code
+below (1 for ``model``, 2 for the rest):
 
 * ``model``    — 0 ok; 1 error-grade lint findings under ``--strict``, or
   bad input (a spec, overrides or an unwritable ``--out``)
@@ -10,13 +12,15 @@ output, and exit codes are stable:
   endpoint), found before the trace opens and before any request.
   Ctrl-C or SIGTERM stops a run as ``operator-stop``; the report is still
   written, and the exit code is the verdict's
-* ``minimize`` — 0 ok; 2 error (bad input, a ``--budget`` or
+* ``minimize`` — 0 ok; 2 error (bad input, a trace header whose spec,
+  model, threshold or window cannot be read, a ``--budget`` or
   ``--replay-attempts`` below 1, an unreachable endpoint), found before any
   replay; 3 finding not reproducible on the full prefix within the budget.  It
   reports what the shrink cost: oracle calls, replayed requests, wall time
-* ``replay``   — 0 reproduced; 1 not reproduced; 2 error (an ``--attempts``
-  below 1 among them)
-* ``report``   — 0
+* ``replay``   — 0 reproduced; 1 not reproduced; 2 error (a malformed
+  script, a step, binding or predicate value of the wrong type among them,
+  or an ``--attempts`` below 1)
+* ``report``   — 0; 2 error (an unreadable or malformed trace)
 
 Run configuration lives in a JSON file (see ``--config``); flags override
 file values so a run stays reproducible from its config plus seed.  An auth
@@ -47,12 +51,14 @@ from .sampling import MixtureConfig, WeightTable, build_sampling_spec
 from .semantic_model import (
     DanglingReference,
     ModelSchemaError,
+    SemanticModel,
     infer_model,
     load_model,
     merge_overrides,
     serialize_model,
 )
 from .spec_ingest import (
+    ApiSpecIR,
     SpecError,
     lint_spec,
     load_spec,
@@ -89,13 +95,16 @@ def _default_headers() -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"} if token else {}
 
 
-def _unreachable(target, timeout: float) -> bool:
+class _Refused(Exception):
+    """Input a command cannot run on.  :func:`main` prints the message as
+    one ``error:`` line and returns the command's ``error_code``."""
+
+
+def _require_reachable(target, timeout: float) -> None:
     """Probe once, as ``fuzz`` does: a dead endpoint is no fixed bug."""
-    if probe(target, min(timeout, 5.0)):
-        return False
-    print(f"error: endpoint unreachable: no HTTP answer from "
-          f"{target.base_url!r}", file=sys.stderr)
-    return True
+    if not probe(target, min(timeout, 5.0)):
+        raise _Refused(f"endpoint unreachable: no HTTP answer from "
+                       f"{target.base_url!r}")
 
 
 class _CountingTarget:
@@ -116,19 +125,17 @@ def _interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
-def _unwritable(path: str, what: str) -> bool:
-    """Whether ``path`` cannot be written, found before any work: an
+def _require_writable(path: str, what: str) -> None:
+    """Refuse ``path`` when it cannot be written, found before any work: an
     existing file is opened for append and kept as it is, and a file this
     check creates is removed again."""
     existed = os.path.exists(path)
     try:
         open(path, "a").close()
     except OSError as exc:
-        print(f"error: cannot open {what} {path}: {exc}", file=sys.stderr)
-        return True
+        raise _Refused(f"cannot open {what} {path}: {exc}") from exc
     if not existed:
         os.unlink(path)
-    return False
 
 
 # --- model -----------------------------------------------------------------------
@@ -138,10 +145,8 @@ def cmd_model(args) -> int:
     try:
         spec = _load_spec_arg(args.spec, args.format)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if _unwritable(args.out, "model file"):
-        return 1
+        raise _Refused(str(exc)) from exc
+    _require_writable(args.out, "model file")
     findings = lint_spec(spec, args.threshold)
     model = infer_model(spec, args.threshold)
     if args.overrides:
@@ -149,8 +154,7 @@ def cmd_model(args) -> int:
             with open(args.overrides, "rb") as fh:
                 model = merge_overrides(model, fh.read(), spec)
         except (OSError, ModelSchemaError, DanglingReference) as exc:
-            print(f"error: invalid overrides: {exc}", file=sys.stderr)
-            return 1
+            raise _Refused(f"invalid overrides: {exc}") from exc
     data = serialize_model(model)
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -182,7 +186,7 @@ _FLAG_TO_CONFIG = {
     "endpoint": "endpoint", "mode": "mode", "max_in_flight": "max_in_flight",
     "duration": "duration_limit", "max_requests": "max_requests",
     "seed": "master_seed", "timeout": "request_timeout",
-    "warmup": "n_warmup", "store_cap": "store_cap",
+    "store_cap": "store_cap",
 }
 
 
@@ -231,47 +235,40 @@ def cmd_fuzz(args) -> int:
     try:
         spec = _load_spec_arg(args.spec, args.format)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(str(exc)) from exc
     try:
         config, threshold, weights, mixture, trace_path, report_path = \
             _build_run_config(args)
     except (ValueError, OSError) as exc:
-        print(f"error: bad run configuration: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"bad run configuration: {exc}") from exc
     if not config.endpoint:
-        print("error: an endpoint is required (flag --endpoint or config file)",
-              file=sys.stderr)
-        return 2
+        raise _Refused("an endpoint is required (flag --endpoint or config "
+                       "file)")
 
     if args.model:
         try:
             with open(args.model, "rb") as fh:
                 model = load_model(fh.read(), spec, threshold)
         except (OSError, ModelSchemaError, DanglingReference) as exc:
-            print(f"error: invalid model file: {exc}", file=sys.stderr)
-            return 2
+            raise _Refused(f"invalid model file: {exc}") from exc
     else:
         model = infer_model(spec, threshold)
     sampling_spec = build_sampling_spec(spec, model, weights, mixture)
     try:
         fuzzed_model(config, model, sampling_spec.weights)
     except ValueError as exc:
-        print(f"error: bad run configuration: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"bad run configuration: {exc}") from exc
 
     # Opening the trace truncates it, so every input is checked first.
     target = NetworkTarget(config.endpoint, _default_headers(),
                            verify=not args.insecure)
-    if _unwritable(trace_path, "trace file") \
-            or _unwritable(report_path, "report file") \
-            or _unreachable(target, config.request_timeout):
-        return 2
+    _require_writable(trace_path, "trace file")
+    _require_writable(report_path, "report file")
+    _require_reachable(target, config.request_timeout)
     try:
         sink = TraceSink.to_path(trace_path, trace_header(config, model))
     except SinkWriteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(str(exc)) from exc
 
     def progress(event: ProgressEvent) -> None:
         if not args.json:
@@ -287,8 +284,7 @@ def cmd_fuzz(args) -> int:
         result = run(config, model, sampling_spec, target=target,
                      trace_sink=sink, progress=progress)
     except EndpointUnreachable as exc:
-        print(f"error: endpoint unreachable: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"endpoint unreachable: {exc}") from exc
     finally:
         signal.signal(signal.SIGTERM, previous)
         try:
@@ -318,56 +314,70 @@ def cmd_fuzz(args) -> int:
 
 # --- minimize ---------------------------------------------------------------------
 
+def _read_header(header: dict) -> tuple[ApiSpecIR, SemanticModel, int]:
+    """The spec, model and window of the run a trace header records;
+    :class:`ValueError`, or the model loader's errors, when one of them
+    cannot be read."""
+    missing = [key for key in ("spec_ir", "model") if key not in header]
+    if missing:
+        raise ValueError(f"its header has no {' or '.join(missing)}")
+    config = header.get("config") or {}
+    if not isinstance(config, dict):
+        raise ValueError("its header's config is not an object")
+    threshold = config.get("match_threshold", DEFAULT_MATCH_THRESHOLD)
+    if type(threshold) not in (int, float):
+        raise ValueError(f"its header's match_threshold is not a number: "
+                         f"{threshold!r}")
+    window = config.get("max_in_flight", 1)
+    if type(window) is not int or window < 1:
+        raise ValueError(f"its header's max_in_flight is not a positive "
+                         f"integer: {window!r}")
+    try:
+        spec = spec_from_jsonable(header["spec_ir"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"its header's spec_ir is malformed "
+                         f"({type(exc).__name__}: {exc})") from exc
+    return spec, load_model(json.dumps(header["model"]), spec, threshold), \
+        window
+
+
 def cmd_minimize(args) -> int:
     """Reduce a failing trace to a minimal recreate script."""
     try:
         header, events = read_trace(args.trace)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot read trace: {exc}") from exc
     if not events:
-        print("error: trace has no events", file=sys.stderr)
-        return 2
-    missing = [key for key in ("spec_ir", "model") if key not in header]
-    if missing:
-        print(f"error: cannot read trace: its header has no "
-              f"{' or '.join(missing)}", file=sys.stderr)
-        return 2
-    spec = spec_from_jsonable(header["spec_ir"])
-    config = header.get("config") or {}
-    model = load_model(json.dumps(header["model"]), spec,
-                       config.get("match_threshold", DEFAULT_MATCH_THRESHOLD))
+        raise _Refused("trace has no events")
+    try:
+        spec, model, max_in_flight = _read_header(header)
+    except (ValueError, ModelSchemaError, DanglingReference) as exc:
+        raise _Refused(f"cannot read trace: {exc}") from exc
 
     event_id = args.event
     if event_id is None:
         failing = [e for e in events
                    if any(f.grade == GRADE_ERROR for f in e.findings)]
         if not failing:
-            print("error: trace contains no error-grade finding; "
-                  "pass --event explicitly", file=sys.stderr)
-            return 2
+            raise _Refused("trace contains no error-grade finding; "
+                           "pass --event explicitly")
         event_id = failing[-1].event_id
     by_id = {e.event_id: e for e in events}
     if event_id not in by_id:
-        print(f"error: trace has no event {event_id}", file=sys.stderr)
-        return 2
+        raise _Refused(f"trace has no event {event_id}")
 
     prefix = [e for e in events if e.event_id <= event_id]
     operations = spec.operations_by_id()
     for event in prefix:
         if event.plan.get("operation") not in operations:
-            print(f"error: cannot read trace: event {event.event_id} names "
-                  f"operation {event.plan.get('operation')!r} that the "
-                  f"trace's spec lacks", file=sys.stderr)
-            return 2
-
-    max_in_flight = config.get("max_in_flight", 1)
+            raise _Refused(f"cannot read trace: event {event.event_id} names "
+                           f"operation {event.plan.get('operation')!r} that "
+                           f"the trace's spec lacks")
 
     try:
         expected = expected_failure_for(by_id[event_id], spec)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(str(exc)) from exc
 
     def network_target():
         return NetworkTarget(args.endpoint, _default_headers(),
@@ -380,9 +390,8 @@ def cmd_minimize(args) -> int:
         reset(target)
         return _CountingTarget(target, sent)
 
-    if _unreachable(network_target(), args.timeout) \
-            or _unwritable(args.out, "script file"):
-        return 2
+    _require_reachable(network_target(), args.timeout)
+    _require_writable(args.out, "script file")
     oracle = build_replay_oracle(
         model, expected, target_factory, max_in_flight=max_in_flight,
         attempts=args.replay_attempts, timeout=args.timeout)
@@ -430,18 +439,15 @@ def cmd_replay(args) -> int:
         with open(args.script, "rb") as fh:
             script = RecreateScript.from_json(fh.read())
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load script: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot load script: {exc}") from exc
     target = NetworkTarget(args.endpoint, _default_headers(),
                            verify=not args.insecure)
-    if _unreachable(target, args.timeout):
-        return 2
+    _require_reachable(target, args.timeout)
     try:
         outcome = replay(script, target, timeout=args.timeout,
                          attempts=args.attempts)
     except SymbolResolutionFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(str(exc)) from exc
     if args.json:
         print(json.dumps({"outcome": outcome.outcome, "detail": outcome.detail}))
     else:
@@ -456,8 +462,7 @@ def cmd_report(args) -> int:
     try:
         header, events = read_trace(args.trace)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot read trace: {exc}") from exc
     per_operation: dict[str, int] = {}
     per_status: dict[str, int] = {}
     findings_by_kind: dict[str, int] = {}
@@ -547,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--strict", action="store_true",
                          help="exit nonzero on error-grade lint findings")
     _add_common(p_model)
-    p_model.set_defaults(func=cmd_model)
+    p_model.set_defaults(func=cmd_model, error_code=1)
 
     p_fuzz = sub.add_parser("fuzz", help="run the random exercise loop")
     p_fuzz.add_argument("spec", help="OpenAPI document path ('-' for stdin)")
@@ -567,8 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seed", type=int, default=None)
     p_fuzz.add_argument("--timeout", type=float, default=None,
                         help="per-request timeout in seconds")
-    p_fuzz.add_argument("--warmup", type=int, default=None,
-                        help="number of dependency-ordered warm-up creates")
     p_fuzz.add_argument("--threshold", type=float, default=None)
     p_fuzz.add_argument("--store-cap", dest="store_cap", type=int, default=None)
     p_fuzz.add_argument("--exclude", action="append", default=None,
@@ -582,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--report", default=None, help="report JSON to write")
     _add_common(p_fuzz)
     _add_network(p_fuzz)
-    p_fuzz.set_defaults(func=cmd_fuzz)
+    p_fuzz.set_defaults(func=cmd_fuzz, error_code=2)
 
     p_min = sub.add_parser("minimize",
                            help="reduce a failing trace to a recreate script")
@@ -599,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p_min)
     _add_network(p_min)
-    p_min.set_defaults(func=cmd_minimize)
+    p_min.set_defaults(func=cmd_minimize, error_code=2)
 
     p_replay = sub.add_parser("replay", help="run a recreate script")
     p_replay.add_argument("--script", required=True)
@@ -608,19 +611,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p_replay)
     _add_network(p_replay)
-    p_replay.set_defaults(func=cmd_replay)
+    p_replay.set_defaults(func=cmd_replay, error_code=2)
 
     p_report = sub.add_parser("report", help="summarize a trace file")
     p_report.add_argument("--trace", required=True)
     _add_common(p_report)
-    p_report.set_defaults(func=cmd_report)
+    p_report.set_defaults(func=cmd_report, error_code=2)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return args.error_code
 
 
 if __name__ == "__main__":

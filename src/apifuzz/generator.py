@@ -76,7 +76,8 @@ class EndpointUnreachable(Exception):
     """The startup probe got no HTTP answer from the endpoint."""
 
 
-DEFAULT_WARMUP = 20
+# A run's first plans cycle through the dependency-ordered creates.
+WARMUP_PLANS = 20
 # Seconds between two progress events of a run.
 PROGRESS_INTERVAL = 5.0
 
@@ -126,7 +127,6 @@ class RunConfig:
     endpoint: str | None = None
     max_requests: int | None = None
     request_timeout: float = DEFAULT_TIMEOUT
-    n_warmup: int = DEFAULT_WARMUP
     store_cap: int = DEFAULT_STORE_CAP
     path_excludes: tuple[str, ...] = ("/_admin",)
 
@@ -210,11 +210,12 @@ class RunResult:
 
 def generate_request(model: SemanticModel, sampling_spec: SamplingSpec,
                      store, rng: Random, plan_id: int = 1,
-                     n_warmup: int = 0,
                      warmup_bindings: list[OperationBinding] | None = None
                      ) -> RequestPlan:
-    """Select an operation and fill every parameter into a concrete plan."""
-    if warmup_bindings and plan_id <= n_warmup:
+    """Select an operation and fill every parameter into a concrete plan;
+    given ``warmup_bindings``, the first :data:`WARMUP_PLANS` plans cycle
+    through them instead of selecting."""
+    if warmup_bindings and plan_id <= WARMUP_PLANS:
         binding = warmup_bindings[(plan_id - 1) % len(warmup_bindings)]
     else:
         binding = select_operation(model, sampling_spec.weights, rng)
@@ -490,7 +491,6 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
                 dispatched += 1
                 plan = generate_request(state.model, sampling_spec, state.store,
                                         state.rng, plan_id=dispatched,
-                                        n_warmup=config.n_warmup,
                                         warmup_bindings=state.warmup)
                 in_flight[dispatched] = (
                     plan, predict_status(plan, state.store, window > 1),

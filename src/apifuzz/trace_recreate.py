@@ -60,7 +60,8 @@ DEFAULT_ORACLE_BUDGET = 500
 DEFAULT_RACE_ATTEMPTS = 20
 # Replays of the full prefix before a finding counts as not reproducible.
 INITIAL_ATTEMPTS = 3
-# Bodies above this many bytes are traced as a size and a digest, never as ids.
+# Bodies above this many bytes are traced as a size (and, when the event is
+# kept whole, a SHA-256), never as ids.
 TRACE_BODY_LIMIT = 4096
 # The sink flushes its file when this many seconds have passed since the last
 # flush, and on close.
@@ -94,7 +95,6 @@ class TraceEvent:
     body_json: Any = None
     body_text: str | None = None
     body_b64: str | None = None
-    body_digest: str | None = None
     transport_error: str | None = None
     latency: float = 0.0
     findings: list[Finding] = field(default_factory=list)
@@ -118,8 +118,6 @@ class TraceEvent:
             out["body_text"] = self.body_text
         if self.body_b64 is not None:
             out["body_b64"] = self.body_b64
-        if self.body_digest is not None:
-            out["body_digest"] = self.body_digest
         if self.transport_error is not None:
             out["transport_error"] = self.transport_error
         return out
@@ -145,7 +143,6 @@ class TraceEvent:
             body_json=data.get("body_json"),
             body_text=data.get("body_text"),
             body_b64=data.get("body_b64"),
-            body_digest=data.get("body_digest"),
             transport_error=data.get("transport_error"),
             latency=data.get("latency", 0.0),
             findings=[Finding.from_dict(f) for f in data.get("findings", [])],
@@ -161,18 +158,15 @@ def make_trace_event(event_id: int, plan_wire: dict, result, findings,
     An event with no finding keeps only what replay reads: of a 2XX JSON
     body the ids :func:`bind_symbols` registers (:func:`_project_ids`, by
     ``is_id_key``, the run's ``SemanticModel.id_key_predicate``), of any
-    other body nothing, and in both cases a ``body_digest``.  It leaves out the
-    response headers.  An event with a finding is kept whole, and then a
-    non-UTF-8 body is base64-encoded.  Either way a body above
-    :data:`TRACE_BODY_LIMIT` bytes, judged before projecting, is replaced
-    by a size marker.
+    other body nothing.  It leaves out the response headers.  An event with a
+    finding is kept whole, and then a non-UTF-8 body is base64-encoded.
+    Either way a body above :data:`TRACE_BODY_LIMIT` bytes, judged before
+    projecting, is replaced by a size marker.
     """
     whole = bool(findings)
     body = result.body
-    body_json = body_text = body_b64 = body_digest = None
+    body_json = body_text = body_b64 = None
     if body:
-        if not whole:
-            body_digest = hashlib.blake2b(body, digest_size=8).hexdigest()
         if len(body) > TRACE_BODY_LIMIT:
             body_json = {"__truncated__": True, "bytes": len(body)}
             if whole:
@@ -190,7 +184,7 @@ def make_trace_event(event_id: int, plan_wire: dict, result, findings,
     return TraceEvent(
         event_id=event_id, plan=plan_wire, status=result.status,
         headers=dict(result.headers) if whole else {}, body_json=body_json,
-        body_text=body_text, body_b64=body_b64, body_digest=body_digest,
+        body_text=body_text, body_b64=body_b64,
         transport_error=result.transport_error, latency=result.latency,
         findings=list(findings), dispatch_epoch=dispatch_epoch)
 
@@ -469,10 +463,20 @@ class RecreateScript:
             if type(value) is not int or value < 1:
                 raise ValueError(f"script {key!r} is not a positive integer")
         steps = _script_entries(doc.get("steps"), "steps",
-                                {"method": str, "path_template": str})
+                                {"method": str, "path_template": str},
+                                {"path_params": dict, "query": dict,
+                                 "headers": dict})
+        if not all(type(v) is str for step in steps
+                   for v in step.get("headers", {}).values()):
+            raise ValueError("script step header values must be strings")
         bindings = _script_entries(
             doc.get("bindings", []), "bindings",
             {"variable": str, "producer": list, "producer_step": int})
+        if not all(len(b["producer"]) == 2 and type(b["producer"][0]) is int
+                   and type(b["producer"][1]) is str for b in bindings):
+            raise ValueError("script binding 'producer' is not an "
+                             "[event id, JSON path] pair")
+        _check_predicate(expected_failure)
         script = cls(steps=steps, bindings=bindings,
                      expected_failure=expected_failure,
                      max_in_flight=doc.get("max_in_flight", 1),
@@ -492,18 +496,45 @@ class RecreateScript:
                         f"step {producer_step[variable]}")
 
 
-def _script_entries(entries: Any, section: str,
-                    keys: dict[str, type]) -> list[dict]:
+def _script_entries(entries: Any, section: str, keys: dict[str, type],
+                    optional: dict[str, type] | None = None) -> list[dict]:
     """``entries`` when it is a list of objects, each with ``keys`` of
-    their types; else :class:`ValueError`."""
+    their types, and the ``optional`` keys it has of theirs; else
+    :class:`ValueError`."""
+    optional = optional or {}
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and all(isinstance(e.get(k), kind)
                                         for k, kind in keys.items())
+            and all(isinstance(e[k], kind) for k, kind in optional.items()
+                    if k in e)
             for e in entries):
         raise ValueError(f"script {section!r} is not a list of objects with "
                          + " and ".join(f"a {kind.__name__} {k!r}"
-                                        for k, kind in keys.items()))
+                                        for k, kind in keys.items())
+                         + "".join(f", an optional {kind.__name__} {k!r}"
+                                   for k, kind in optional.items()))
     return entries
+
+
+# What the replay matcher reads of a predicate, by type; ``constraint`` and
+# ``field`` may be null.
+_PREDICATE_TYPES = {"status_class": str, "transport_error": str,
+                    "constraint": (str, type(None)),
+                    "field": (str, type(None)), "schema": dict}
+
+
+def _check_predicate(predicate: dict) -> None:
+    """:class:`ValueError` when a value of the script's ``expected_failure``
+    that replay reads has the wrong type."""
+    for key, kind in _PREDICATE_TYPES.items():
+        if key in predicate and not isinstance(predicate[key], kind):
+            raise ValueError(f"script expected_failure {key!r} has the wrong "
+                             f"type: {predicate[key]!r}")
+    patterns = predicate.get("status_not_in", [])
+    if not isinstance(patterns, list) \
+            or not all(type(p) is str for p in patterns):
+        raise ValueError("script expected_failure 'status_not_in' is not a "
+                         "list of strings")
 
 
 def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import pathlib
 import re
 import signal
 import subprocess
@@ -296,8 +297,10 @@ def test_fuzz_refuses_a_model_file_with_malformed_id_fields(
     {"weights": 5}, {"mixture": 5}, {"path_excludes": 5}, {"trace_path": 5},
     {"max_requests": "5"}, {"duration_limit": "30"},
     {"stop_on_error": "no", "max_requests": 20}, {"match_threshold": "0.6"},
+    {"n_warmup": 20, "max_requests": 1},
 ], ids=["weights", "mixture", "run-config-field", "path", "max-requests",
-        "duration-limit", "stop-on-error", "match-threshold"])
+        "duration-limit", "stop-on-error", "match-threshold",
+        "n-warmup-an-unknown-key"])
 def test_fuzz_refuses_a_config_value_of_the_wrong_type(
         spec_file, clean_server, tmp_path, capsys, file_config):
     config = tmp_path / "run.json"
@@ -339,6 +342,14 @@ def test_fuzz_refuses_a_config_with_nothing_to_draw(
     assert trace.read_bytes() == before
     assert not (tmp_path / "r.json").exists()
     assert handled == []
+
+
+def test_fuzz_without_an_endpoint_exits_two(spec_file, tmp_path, capsys):
+    assert run_cli("fuzz", spec_file, "--trace", str(tmp_path / "t.jsonl"),
+                   "--report", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == ("error: an endpoint is required "
+                                       "(flag --endpoint or config file)\n")
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_fuzz_refuses_a_missing_model_file(spec_file, tmp_path, capsys):
@@ -627,6 +638,20 @@ def _step(*drop):
     return step
 
 
+REGRESSIONS = pathlib.Path(__file__).parent / "data" / "regressions"
+
+
+def _regression_with(mutate):
+    """The committed ``delete-customer-500`` script with one value changed."""
+    doc = json.loads((REGRESSIONS / "delete-customer-500.json").read_text())
+    mutate(doc)
+    return doc
+
+
+def _predicate(**predicate):
+    return lambda doc: doc.__setitem__("expected_failure", predicate)
+
+
 @pytest.mark.parametrize("doc", [
     [],
     {"script_version": 1, "steps": 5},
@@ -639,10 +664,32 @@ def _step(*drop):
     {"script_version": 1, "steps": [_step("path_template")]},
     {"script_version": 1, "steps": [_step()], "expected_failure": []},
     {"script_version": 1, "steps": [_step()], "max_in_flight": "2"},
+    _regression_with(lambda doc: doc["steps"][1].__setitem__("path_params",
+                                                             [1])),
+    _regression_with(lambda doc: doc["steps"][1].__setitem__("query", [1])),
+    _regression_with(lambda doc: doc["steps"][1].__setitem__("headers", "x")),
+    _regression_with(lambda doc: doc["steps"][1].__setitem__("headers",
+                                                             {"X-Run": 5})),
+    _regression_with(lambda doc: doc["bindings"][0].__setitem__("producer",
+                                                                [7, 5])),
+    _regression_with(_predicate(kind="server-error-5xx", status_class=5)),
+    _regression_with(_predicate(kind="no-response", transport_error=5)),
+    _regression_with(_predicate(kind="schema-violation", constraint=5,
+                                schema={})),
+    _regression_with(_predicate(kind="schema-violation", schema="x")),
+    _regression_with(_predicate(kind="undefined-status",
+                                status_not_in="204")),
+    _regression_with(_predicate(kind="undefined-status",
+                                status_not_in=[204])),
 ], ids=["root-a-list", "steps-not-a-list", "step-not-an-object",
         "bindings-not-a-list", "binding-not-an-object", "binding-no-producer",
         "step-no-method", "step-no-path-template",
-        "expected-failure-not-an-object", "window-not-an-integer"])
+        "expected-failure-not-an-object", "window-not-an-integer",
+        "path-params-a-list", "query-a-list", "headers-a-string",
+        "header-value-an-int", "producer-path-an-int",
+        "status-class-an-int", "transport-error-an-int",
+        "constraint-an-int", "schema-a-string", "status-not-in-a-string",
+        "status-not-in-of-ints"])
 def test_replay_a_malformed_script_is_an_error_not_a_fixed_bug(
         tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

@@ -150,7 +150,7 @@ def test_warmup_creates_prerequisites_in_dependency_order(bookshop_model,
     store = StateStore()
     first_four = [
         generate_request(bookshop_model, bookshop_sampling, store, rng,
-                         plan_id=i, n_warmup=20, warmup_bindings=warmup)
+                         plan_id=i, warmup_bindings=warmup)
         .binding.operation_id
         for i in range(1, 5)
     ]

@@ -21,6 +21,7 @@ from apifuzz.trace_recreate import (
     TRACE_BODY_LIMIT,
     TRACE_VERSION,
     SinkWriteError,
+    TraceEvent,
     TraceSink,
     _iter_produced_ids,
     _project_ids,
@@ -90,20 +91,25 @@ def _json_result(status, doc, headers=None):
         body=raw, json_body=json.loads(raw))
 
 
-def test_a_clean_2xx_body_keeps_its_ids_and_a_digest(is_id_key):
+def test_a_clean_2xx_body_keeps_only_its_ids(is_id_key):
     result = _json_result(200, [{"bookId": "b1", "title": "t"}])
     ev = make_trace_event(1, _plan(), result, [], is_id_key=is_id_key)
     assert ev.body_json == [{"bookId": "b1"}]
-    assert len(ev.body_digest) == 16 and ev.headers == {}
+    assert ev.headers == {}
     assert "headers" not in ev.to_dict()
 
 
-def test_a_clean_non_2xx_body_keeps_only_its_digest(is_id_key):
+def test_a_clean_non_2xx_body_keeps_nothing(is_id_key):
     for result in (_json_result(404, {"error": "no such book: b1"}),
                    HttpExchangeResult(status=200, body=b"\xff\xfe\x01")):
         ev = make_trace_event(1, _plan(), result, [], is_id_key=is_id_key)
         assert ev.body_json is ev.body_text is ev.body_b64 is None
-        assert ev.body_digest is not None
+        record = ev.to_dict()
+        assert not {"body_json", "body_text", "body_b64",
+                    "body_digest"} & set(record)
+        # An older trace's body_digest is ignored.
+        assert TraceEvent.from_dict({**record, "body_digest": "0" * 16}) \
+            == TraceEvent.from_dict(record)
 
 
 def test_truncation_is_judged_before_projecting(is_id_key):
@@ -121,7 +127,7 @@ def test_an_event_with_a_finding_is_kept_whole(is_id_key):
     result = _json_result(500, doc)
     finding = Finding("error", "server-error-5xx", "boom")
     ev = make_trace_event(1, _plan(), result, [finding], is_id_key=is_id_key)
-    assert ev.body_json == doc and ev.body_digest is None
+    assert ev.body_json == doc
     assert ev.headers == {"Content-Type": "application/json"}
 
 
@@ -254,15 +260,56 @@ def test_a_malformed_trace_is_refused_naming_its_line(tmp_path, capsys,
     _cli_cannot_read(path, capsys)
 
 
-@pytest.mark.parametrize("key", ["spec_ir", "model"])
+def _set_config(key, value):
+    return lambda header: header["config"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda header: header.pop("spec_ir"),
+    lambda header: header.pop("model"),
+    _set_config("match_threshold", "0.6"),
+    _set_config("match_threshold", True),
+    _set_config("max_in_flight", "2"),
+    _set_config("max_in_flight", 0),
+    _set_config("max_in_flight", True),
+    lambda header: header.__setitem__("config", [1]),
+    lambda header: header.__setitem__("spec_ir", {"operations": [{}]}),
+    lambda header: header.__setitem__("spec_ir", "x"),
+    lambda header: header["model"].__setitem__("model_version", 2),
+    lambda header: header["model"]["bindings"][0].__setitem__("resource",
+                                                              "nope"),
+], ids=["spec_ir", "model", "threshold-a-string", "threshold-a-bool",
+        "window-a-string", "window-zero", "window-a-bool", "config-a-list",
+        "spec-operation-without-method", "spec-a-string", "model-version-2",
+        "binding-to-an-unknown-resource"])
 def test_minimize_refuses_a_trace_header_without_its_spec_or_model(
-        tmp_path, capsys, fuzzed_records, key):
+        tmp_path, capsys, fuzzed_records, mutate):
+    """Refused before the endpoint is probed: one line, exit 2."""
     records = json.loads(json.dumps(fuzzed_records))
-    records[0].pop(key)
+    mutate(records[0])
     path = _write(tmp_path / "bad.jsonl", records)
     assert cli.main(["minimize", "--trace", path,
                      "--endpoint", "http://127.0.0.1:9"]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot read trace: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trace: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mutate, flags, message", [
+    (lambda records: records.__delitem__(slice(1, None)), (),
+     "trace has no events"),
+    (lambda records: [r.pop("findings", None) for r in records], (),
+     "trace contains no error-grade finding; pass --event explicitly"),
+    (lambda records: None, ("--event", "999"), "trace has no event 999"),
+], ids=["no-events", "no-error-grade-finding", "no-such-event"])
+def test_minimize_refuses_a_trace_with_no_event_to_shrink(
+        tmp_path, capsys, fuzzed_records, mutate, flags, message):
+    records = json.loads(json.dumps(fuzzed_records))
+    mutate(records)
+    path = _write(tmp_path / "bad.jsonl", records)
+    assert cli.main(["minimize", "--trace", path, *flags,
+                     "--endpoint", "http://127.0.0.1:9"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_minimize_refuses_a_plan_whose_operation_the_spec_lacks(
