@@ -5,7 +5,8 @@
 * status — the observed status must be declared, and any 5XX is an error,
   declared or not (:func:`verdict`).
 * syntactic — the body must validate against the schema declared for the
-  matched status, constraint by constraint.  A body is JSON by the rule of
+  matched status, constraint by constraint (:func:`check_body`, which also
+  judges a recreate script's schema predicate).  A body is JSON by the rule of
   :func:`~apifuzz.spec_ingest.media_type`, which counts a missing
   ``Content-Type`` as JSON.
 * semantic — the observed status must fall in the predicted set
@@ -351,14 +352,16 @@ def matching_response(op: OperationDef, status: int) -> ResponseDef | None:
     return verdict(op, status).response
 
 
-def _check_body(response, operation: OperationDef,
-                resp: ResponseDef) -> list[Finding]:
+def check_body(response, operation_id: str,
+               resp: ResponseDef) -> list[Finding]:
+    """The syntactic check: ``response``'s body against the declared
+    ``resp``.  ``operation_id`` only names the operation in details."""
     status = response.status
     if resp.body_schema is None:
         if resp.content_types and response.body:
             return [Finding(
                 GRADE_INFO, KIND_SCHEMA,
-                f"{operation.operation_id} response {status} declares content "
+                f"{operation_id} response {status} declares content "
                 f"types {list(resp.content_types)} without a JSON schema; "
                 "body not validated")]
         return []
@@ -366,7 +369,7 @@ def _check_body(response, operation: OperationDef,
     if not response.body:
         return [Finding(
             GRADE_ERROR, KIND_SCHEMA,
-            f"{operation.operation_id} response {status} declares a body "
+            f"{operation_id} response {status} declares a body "
             "schema but the body is empty",
             json_path="$", constraint="required", observed=status)]
 
@@ -374,13 +377,13 @@ def _check_body(response, operation: OperationDef,
     if not is_json:
         return [Finding(
             GRADE_INFO, KIND_SCHEMA,
-            f"{operation.operation_id} response {status} has content type "
+            f"{operation_id} response {status} has content type "
             f"{ctype!r}; schema declared for JSON only, body not validated")]
 
     if response.json_body is None and response.json_error:
         return [Finding(
             GRADE_ERROR, KIND_SCHEMA,
-            f"{operation.operation_id} response {status} body is not parseable "
+            f"{operation_id} response {status} body is not parseable "
             f"JSON: {response.json_error}",
             json_path="$", constraint="malformed-body", observed=status)]
 
@@ -389,7 +392,7 @@ def _check_body(response, operation: OperationDef,
         return []
     return [Finding(
         GRADE_ERROR, KIND_SCHEMA,
-        f"{operation.operation_id} response {status} violates the declared "
+        f"{operation_id} response {status} violates the declared "
         f"schema at ${path} ({constraint}): {message}",
         json_path=f"${path}", constraint=constraint, observed=status)
         for path, constraint, message in violations[:_MAX_SCHEMA_FINDINGS]]
@@ -421,7 +424,7 @@ def check_exchange(plan, response, operation: OperationDef,
     resp, status_finding = verdict(operation, response.status)
     findings = [] if status_finding is None else [status_finding]
     if resp is not None:
-        findings.extend(_check_body(response, operation, resp))
+        findings.extend(check_body(response, operation.operation_id, resp))
     if prediction is not None:
         semantic = check_semantic(response, prediction)
         if semantic:

@@ -47,7 +47,6 @@ class DanglingReference(Exception):
 class Resource:
     name: str  # canonical singular noun, unique within a model
     id_field_names: tuple[str, ...] = ()
-    schema: SchemaNode | None = None
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ def infer_model(spec: ApiSpecIR,
                     id_fields[name].append(fname)
 
     resources = [
-        Resource(name, tuple(id_fields[name]), schema_for.get(name))
+        Resource(name, tuple(id_fields[name]))
         for name in sorted(resource_names)
     ]
 
@@ -460,7 +459,7 @@ def load_model(document: bytes | str, spec: ApiSpecIR,
         id_fields = tuple(entry.get(
             "id_field_names",
             base.id_field_names if base else ()))
-        resource = Resource(name, id_fields, base.schema if base else None)
+        resource = Resource(name, id_fields)
         resources.append(resource)
         same = base is not None and base.id_field_names == id_fields
         provenance[_rkey(name)] = PROVENANCE_INFERRED if same else PROVENANCE_USER

@@ -41,12 +41,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from .checker import Finding, matching_response, validate_value
+from .checker import GRADE_ERROR, Finding, check_body, matching_response
 from .http_driver import DEFAULT_TIMEOUT, Dispatcher, execute, render_url
 from .naming import tokenize
 from .semantic_model import SemanticModel
 from .spec_ingest import (
     ApiSpecIR,
+    ResponseDef,
     any_pattern_matches,
     status_pattern_matches,
     _schema_from_jsonable,
@@ -525,11 +526,20 @@ _PREDICATE_TYPES = {"status_class": str, "transport_error": str,
 
 def _check_predicate(predicate: dict) -> None:
     """:class:`ValueError` when a value of the script's ``expected_failure``
-    that replay reads has the wrong type."""
+    that replay reads has the wrong type, or its schema does not build and
+    compile as replay builds it.  A schema value that fails only while
+    validating (``"minimum": "x"``) still loads."""
     for key, kind in _PREDICATE_TYPES.items():
         if key in predicate and not isinstance(predicate[key], kind):
             raise ValueError(f"script expected_failure {key!r} has the wrong "
                              f"type: {predicate[key]!r}")
+    if "schema" in predicate:
+        try:
+            _schema_from_jsonable(predicate["schema"]).validator
+        except (TypeError, AttributeError, KeyError, ValueError,
+                re.error) as exc:
+            raise ValueError(f"script expected_failure 'schema' does not "
+                             f"build ({type(exc).__name__}: {exc})") from exc
     patterns = predicate.get("status_not_in", [])
     if not isinstance(patterns, list) \
             or not all(type(p) is str for p in patterns):
@@ -537,21 +547,17 @@ def _check_predicate(predicate: dict) -> None:
                          "list of strings")
 
 
-def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,
-                dispatch_epoch: int, symbols: dict[tuple[int, str], str],
-                names_taken: dict[str, int], consumers_out: dict[str, list],
-                location: str):
+def _substitute(value: Any, registry: _ProducerRegistry, dispatch_epoch: int,
+                symbols: dict[tuple[int, str], str],
+                names_taken: dict[str, int]):
     """Replace literals that equal an earlier produced id with symbol markers."""
     if isinstance(value, dict):
-        return {k: _substitute(v, registry, consumer_eid, dispatch_epoch,
-                               symbols, names_taken, consumers_out,
-                               f"{location}.{k}")
+        return {k: _substitute(v, registry, dispatch_epoch, symbols,
+                               names_taken)
                 for k, v in value.items()}
     if isinstance(value, list):
-        return [_substitute(v, registry, consumer_eid, dispatch_epoch,
-                            symbols, names_taken, consumers_out,
-                            f"{location}[{i}]")
-                for i, v in enumerate(value)]
+        return [_substitute(v, registry, dispatch_epoch, symbols, names_taken)
+                for v in value]
     if isinstance(value, (str, int)) and not isinstance(value, bool):
         hit = registry.producer_before(value, dispatch_epoch)
         if hit is not None:
@@ -563,10 +569,7 @@ def _substitute(value: Any, registry: _ProducerRegistry, consumer_eid: int,
                 name = base if names_taken[base] == 1 \
                     else f"{base}_{names_taken[base]}"
                 symbols[sym_key] = name
-                consumers_out[name] = []
-            name = symbols[sym_key]
-            consumers_out[name].append([consumer_eid, location])
-            return _symbol_marker(name)
+            return _symbol_marker(symbols[sym_key])
     return value
 
 
@@ -612,24 +615,22 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
     operations = model.spec.operations_by_id()
     symbols: dict[tuple[int, str], str] = {}
     names_taken: dict[str, int] = {}
-    consumers: dict[str, list] = {}
     steps: list[dict] = []
     for idx, event in enumerate(dispatch_order):
         plan = event.plan
         op = operations[plan["operation"]]
-        substitute = lambda value, where: _substitute(  # noqa: E731
-            value, registry, event.event_id, event.dispatch_epoch,
-            symbols, names_taken, consumers, where)
+        substitute = lambda value: _substitute(  # noqa: E731
+            value, registry, event.dispatch_epoch, symbols, names_taken)
         steps.append({
             "step": idx,
             "source_event": event.event_id,
             "operation": op.operation_id,
             "method": op.method,
             "path_template": op.path_template,
-            "path_params": substitute(plan.get("path_params", {}), "path"),
-            "query": substitute(plan.get("query", {}), "query"),
+            "path_params": substitute(plan.get("path_params", {})),
+            "query": substitute(plan.get("query", {})),
             "headers": plan.get("headers", {}),
-            "body": substitute(plan.get("body"), "body"),
+            "body": substitute(plan.get("body")),
         })
 
     bindings = []
@@ -638,7 +639,6 @@ def bind_symbols(trace: Sequence[TraceEvent], model: SemanticModel,
             "variable": variable,
             "producer": [event_id, json_path],
             "producer_step": event_step[event_id],
-            "consumers": consumers[variable],
         })
     bindings.sort(key=lambda b: (b["producer_step"], b["variable"]))
 
@@ -749,10 +749,13 @@ def _build_replay_plan(step: dict, symbols: dict[str, Any]) -> _ReplayPlan:
 
 
 def _predicate_matcher(predicate: dict) -> Callable[[Any], bool]:
-    """The script's failure predicate as a test of one answer; a schema in it
-    is built, and compiled on first use, once per matcher."""
-    schema = _schema_from_jsonable(predicate["schema"]) \
+    """The script's failure predicate as a test of one answer.  A schema in
+    it is built once per matcher and judged by the checker's body check: an
+    answer matches when that check flags an error of the predicate's
+    ``constraint`` at its ``field``, each where the predicate sets it."""
+    declared = ResponseDef(_schema_from_jsonable(predicate["schema"])) \
         if "schema" in predicate else None
+    constraint, fld = predicate.get("constraint"), predicate.get("field")
 
     def matches(result) -> bool:
         if "transport_error" in predicate:
@@ -766,18 +769,11 @@ def _predicate_matcher(predicate: dict) -> Callable[[Any], bool]:
         if "status_not_in" in predicate:
             patterns = predicate["status_not_in"]
             return not any_pattern_matches(patterns, result.status)
-        if schema is not None:
-            if result.json_body is None:
-                return True  # schema declared but body unparseable: still violated
-            for violation in validate_value(result.json_body, schema):
-                if predicate.get("constraint") \
-                        and violation.constraint != predicate["constraint"]:
-                    continue
-                fld = predicate.get("field")
-                if fld and _last_segment(violation.json_path) != fld:
-                    continue
-                return True
-            return False
+        if declared is not None:
+            return any(f.grade == GRADE_ERROR
+                       and (not constraint or f.constraint == constraint)
+                       and (not fld or _last_segment(f.json_path) == fld)
+                       for f in check_body(result, "replay", declared))
         return False
     return matches
 
@@ -898,13 +894,15 @@ class _BudgetExhausted(Exception):
 
 def producer_dependencies(events: Sequence[TraceEvent],
                           model: SemanticModel) -> dict[int, set[int]]:
-    """Direct producer event ids required by each consumer event."""
+    """Direct producer event ids required by each consumer event, read from
+    the symbol markers of the script :func:`bind_symbols` writes."""
     script = bind_symbols(events, model, expected_failure={"kind": "analysis"})
+    producer_eid = {b["variable"]: b["producer"][0] for b in script.bindings}
     deps: dict[int, set[int]] = {}
-    for binding in script.bindings:
-        producer_eid = binding["producer"][0]
-        for consumer_eid, _location in binding["consumers"]:
-            deps.setdefault(consumer_eid, set()).add(producer_eid)
+    for step in script.steps:
+        for variable in _variables_in_step(step):
+            deps.setdefault(step["source_event"], set()).add(
+                producer_eid[variable])
     return deps
 
 

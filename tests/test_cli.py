@@ -681,6 +681,17 @@ def _predicate(**predicate):
                                 status_not_in="204")),
     _regression_with(_predicate(kind="undefined-status",
                                 status_not_in=[204])),
+    _regression_with(_predicate(kind="schema-violation",
+                                schema={"properties": 5})),
+    _regression_with(_predicate(kind="schema-violation",
+                                schema={"kind": "array", "items": 5})),
+    _regression_with(_predicate(kind="schema-violation",
+                                schema={"kind": "object",
+                                        "required_fields": 5})),
+    _regression_with(_predicate(kind="schema-violation",
+                                schema={"kind": "strnig"})),
+    _regression_with(_predicate(kind="schema-violation",
+                                schema={"kind": "string", "pattern": "("})),
 ], ids=["root-a-list", "steps-not-a-list", "step-not-an-object",
         "bindings-not-a-list", "binding-not-an-object", "binding-no-producer",
         "step-no-method", "step-no-path-template",
@@ -689,7 +700,9 @@ def _predicate(**predicate):
         "header-value-an-int", "producer-path-an-int",
         "status-class-an-int", "transport-error-an-int",
         "constraint-an-int", "schema-a-string", "status-not-in-a-string",
-        "status-not-in-of-ints"])
+        "status-not-in-of-ints", "schema-properties-an-int",
+        "schema-items-an-int", "schema-required-an-int", "schema-unknown-kind",
+        "schema-bad-pattern"])
 def test_replay_a_malformed_script_is_an_error_not_a_fixed_bug(
         tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

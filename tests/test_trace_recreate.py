@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import threading
 import time
 from random import Random
@@ -42,6 +43,8 @@ from apifuzz.trace_recreate import (
 )
 
 from conftest import json_response, minimal_spec_doc
+
+REGRESSIONS = pathlib.Path(__file__).resolve().parent / "data" / "regressions"
 
 
 # --- helpers ----------------------------------------------------------------------
@@ -258,7 +261,6 @@ def test_bind_symbols_create_then_get(bookshop_model):
     assert binding["variable"] == "$customer_id"
     assert binding["producer"] == [1, "$.customerId"]
     assert binding["producer_step"] == 0
-    assert binding["consumers"] == [[2, "path.customerId"]]
     assert script.steps[1]["path_params"]["customerId"] == {"$sym": "$customer_id"}
     assert script.expected_failure["kind"] == "server-error-5xx"
 
@@ -464,13 +466,13 @@ def test_schema_predicate_takes_the_response_the_checker_matched():
 
 
 class _FixedStatusApp:
-    """Answers every request with one status and an empty body."""
+    """Answers every request with one status, ``headers`` and ``body``."""
 
-    def __init__(self, status):
-        self.status = status
+    def __init__(self, status, headers=None, body=b""):
+        self.status, self.headers, self.body = status, headers or {}, body
 
     def handle(self, method, path, query="", headers=None, body=b""):
-        return self.status, {}, b""
+        return self.status, self.headers, self.body
 
 
 def test_undefined_status_predicate_comes_from_the_finding():
@@ -624,7 +626,9 @@ def test_window_two_collects_a_producer_before_sending_its_consumers(
     ]
     script = bind_symbols(events, bookshop_model, max_in_flight=2, attempts=1)
     (binding,) = script.bindings
-    assert len(binding["consumers"]) == 2
+    marker = {"$sym": binding["variable"]}
+    assert [step["path_params"] for step in script.steps[1:]] \
+        == [{"customerId": marker}] * 2
     target = _SlowProducerLog()
     assert replay(script, target).outcome == "reproduced"
     answered = target.log.index(("answered", "POST", "/customers"))
@@ -842,6 +846,58 @@ def test_replay_not_reproduced_when_bug_fixed(bookshop_model):
     target.close()
     assert outcome.outcome == "not-reproduced"
     assert outcome.exit_code == 1
+
+
+def _kept_predicate(bug):
+    """The ``expected_failure`` of the bug's kept recreate script."""
+    doc = json.loads((REGRESSIONS / f"{bug}.json").read_text())
+    return doc["expected_failure"]
+
+
+@pytest.mark.parametrize("toggles, window, outcome", [
+    ([], 1, "not-reproduced"),
+    ([], 2, "not-reproduced"),
+    (["schema-null-timestamp"], 2, "reproduced"),
+], ids=["clean-window-1", "clean-window-2", "bug-window-2"])
+def test_a_schema_predicate_ignores_an_empty_answer_the_checker_passes(
+        bookshop_model, toggles, window, outcome):
+    """Against the predicate's schema the body check flags the DELETE's
+    empty 204 as ``required`` at ``$``, which a predicate for a null
+    ``creationTimestamp`` does not match; above window 1 the create's
+    answer is judged too."""
+    script = _two_step_script(bookshop_model)
+    script.expected_failure = _kept_predicate("schema-null-timestamp")
+    script.max_in_flight = window
+    target = InProcessTarget(BookshopApp(toggles=toggles))
+    try:
+        assert replay(script, target).outcome == outcome
+    finally:
+        target.close()
+
+
+@pytest.mark.parametrize("content_type, body, outcome", [
+    ("text/plain", b"not json", "not-reproduced"),
+    ("application/json", b"", "reproduced"),
+    ("application/json", b"{not json", "reproduced"),
+], ids=["text-plain", "empty-json", "malformed-json"])
+def test_a_schema_predicate_matches_what_the_checker_flags(
+        bookshop_model, content_type, body, outcome):
+    """With no constraint or field, a schema predicate matches any error
+    the checker's body check flags: an empty or malformed JSON body, but
+    never a body that is not JSON."""
+    predicate = _kept_predicate("schema-null-timestamp")
+    del predicate["constraint"], predicate["field"]
+    script = bind_symbols(
+        [event(1, plan_dict("GET /customers/{customerId}",
+                            path_params={"customerId": "c1"}),
+               findings=[error_finding("schema-violation")])],
+        bookshop_model, expected_failure=predicate)
+    target = InProcessTarget(_FixedStatusApp(
+        200, {"Content-Type": content_type}, body))
+    try:
+        assert replay(script, target).outcome == outcome
+    finally:
+        target.close()
 
 
 def test_replay_symbol_resolution_failure_when_producer_fails(bookshop_model):
