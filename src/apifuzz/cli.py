@@ -13,7 +13,8 @@ below (1 for ``model``, 2 for the rest):
   Ctrl-C or SIGTERM stops a run as ``operator-stop``; the report is still
   written, and the exit code is the verdict's
 * ``minimize`` — 0 ok; 2 error (bad input, a trace header whose spec,
-  model, threshold or window cannot be read, a ``--budget`` or
+  model or run config cannot be read, each by the reader of its own file:
+  ``load_spec``, ``load_model``, ``RunConfig.from_dict``; a ``--budget`` or
   ``--replay-attempts`` below 1, an unreachable endpoint), found before any
   replay; 3 finding not reproducible on the full prefix within the budget.  It
   reports what the shrink cost: oracle calls, replayed requests, wall time
@@ -63,7 +64,6 @@ from .spec_ingest import (
     lint_spec,
     load_spec,
     load_spec_file,
-    spec_from_jsonable,
 )
 from .trace_recreate import (
     DEFAULT_ORACLE_BUDGET,
@@ -186,8 +186,23 @@ _FLAG_TO_CONFIG = {
     "endpoint": "endpoint", "mode": "mode", "max_in_flight": "max_in_flight",
     "duration": "duration_limit", "max_requests": "max_requests",
     "seed": "master_seed", "timeout": "request_timeout",
-    "store_cap": "store_cap",
+    "store_cap": "store_cap", "threshold": "match_threshold",
 }
+
+
+def _run_config(data: dict) -> tuple[RunConfig, float]:
+    """A run config and its name-match threshold from the dict that a
+    config file or a trace header holds; :class:`ValueError` when a value
+    has the wrong type or is out of range."""
+    data = dict(data)
+    threshold = data.pop("match_threshold", DEFAULT_MATCH_THRESHOLD)
+    if type(threshold) not in (int, float):
+        raise ValueError(f"a value of the wrong type: match_threshold must "
+                         f"be float, not {threshold!r}")
+    try:
+        return RunConfig.from_dict(data), threshold
+    except TypeError as exc:
+        raise ValueError(f"a value of the wrong type: {exc}") from None
 
 
 def _build_run_config(args) -> tuple[RunConfig, float, WeightTable,
@@ -207,12 +222,6 @@ def _build_run_config(args) -> tuple[RunConfig, float, WeightTable,
     report_path = file_config.pop("report_path", None) or "apifuzz-report.json"
     if not isinstance(trace_path, str) or not isinstance(report_path, str):
         raise ValueError("trace_path and report_path must be strings")
-    threshold = file_config.pop("match_threshold", DEFAULT_MATCH_THRESHOLD)
-    if args.threshold is not None:
-        threshold = args.threshold
-    if type(threshold) not in (int, float):
-        raise ValueError(f"a value of the wrong type: match_threshold must "
-                         f"be float, not {threshold!r}")
 
     for flag, key in _FLAG_TO_CONFIG.items():
         value = getattr(args, flag, None)
@@ -222,10 +231,7 @@ def _build_run_config(args) -> tuple[RunConfig, float, WeightTable,
         file_config["stop_on_error"] = args.stop_on_error
     if args.exclude:
         file_config["path_excludes"] = args.exclude
-    try:
-        config = RunConfig.from_dict(file_config)
-    except TypeError as exc:
-        raise ValueError(f"a value of the wrong type: {exc}") from None
+    config, threshold = _run_config(file_config)
     return (config, threshold, weights, mixture, args.trace or trace_path,
             args.report or report_path)
 
@@ -314,31 +320,19 @@ def cmd_fuzz(args) -> int:
 
 # --- minimize ---------------------------------------------------------------------
 
-def _read_header(header: dict) -> tuple[ApiSpecIR, SemanticModel, int]:
-    """The spec, model and window of the run a trace header records;
-    :class:`ValueError`, or the model loader's errors, when one of them
-    cannot be read."""
-    missing = [key for key in ("spec_ir", "model") if key not in header]
+def _read_header(header: dict) -> tuple[ApiSpecIR, SemanticModel, RunConfig]:
+    """The spec, model and config of the run a trace header records, each
+    read by its own reader; :class:`ValueError`, :class:`SpecError` or the
+    model loader's errors when one of them cannot be read."""
+    missing = [key for key in ("spec", "model") if key not in header]
     if missing:
         raise ValueError(f"its header has no {' or '.join(missing)}")
-    config = header.get("config") or {}
-    if not isinstance(config, dict):
+    if not isinstance(header.get("config", {}), dict):
         raise ValueError("its header's config is not an object")
-    threshold = config.get("match_threshold", DEFAULT_MATCH_THRESHOLD)
-    if type(threshold) not in (int, float):
-        raise ValueError(f"its header's match_threshold is not a number: "
-                         f"{threshold!r}")
-    window = config.get("max_in_flight", 1)
-    if type(window) is not int or window < 1:
-        raise ValueError(f"its header's max_in_flight is not a positive "
-                         f"integer: {window!r}")
-    try:
-        spec = spec_from_jsonable(header["spec_ir"])
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"its header's spec_ir is malformed "
-                         f"({type(exc).__name__}: {exc})") from exc
+    config, threshold = _run_config(header.get("config", {}))
+    spec = load_spec(json.dumps(header["spec"]))
     return spec, load_model(json.dumps(header["model"]), spec, threshold), \
-        window
+        config
 
 
 def cmd_minimize(args) -> int:
@@ -350,8 +344,8 @@ def cmd_minimize(args) -> int:
     if not events:
         raise _Refused("trace has no events")
     try:
-        spec, model, max_in_flight = _read_header(header)
-    except (ValueError, ModelSchemaError, DanglingReference) as exc:
+        spec, model, config = _read_header(header)
+    except (ValueError, SpecError, ModelSchemaError, DanglingReference) as exc:
         raise _Refused(f"cannot read trace: {exc}") from exc
 
     event_id = args.event
@@ -393,7 +387,7 @@ def cmd_minimize(args) -> int:
     _require_reachable(network_target(), args.timeout)
     _require_writable(args.out, "script file")
     oracle = build_replay_oracle(
-        model, expected, target_factory, max_in_flight=max_in_flight,
+        model, expected, target_factory, max_in_flight=config.max_in_flight,
         attempts=args.replay_attempts, timeout=args.timeout)
 
     started = time.perf_counter()
@@ -407,7 +401,7 @@ def cmd_minimize(args) -> int:
     shrink_s = time.perf_counter() - started
 
     script = bind_symbols(result.events, model, expected,
-                          max_in_flight=max_in_flight)
+                          max_in_flight=config.max_in_flight)
     with open(args.out, "wb") as fh:
         fh.write(script.to_json())
 

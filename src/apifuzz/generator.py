@@ -55,7 +55,6 @@ from .semantic_model import (
     serialize_model,
     topological_order,
 )
-from .spec_ingest import spec_to_jsonable
 from .state_tracker import (
     DEFAULT_STORE_CAP,
     IdExtractionFailure,
@@ -139,10 +138,10 @@ class RunConfig:
                                 f"not {value!r}")
         if self.mode not in ("sequential", "concurrent"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sequential":
-            self.max_in_flight = 1
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if self.mode == "sequential":
+            self.max_in_flight = 1
         self.path_excludes = tuple(self.path_excludes)
 
     @classmethod
@@ -452,7 +451,7 @@ def trace_header(config: RunConfig, model: SemanticModel) -> dict:
     return {
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": {**config.to_dict(), "match_threshold": model.threshold},
-        "spec_ir": spec_to_jsonable(model.spec),
+        "spec": model.spec.document,
         "model": json.loads(serialize_model(model).decode("utf-8")),
     }
 

@@ -2,20 +2,27 @@
 
 Turns an OpenAPI document (JSON or YAML) into a self-contained intermediate
 representation with every ``$ref`` spliced in, so downstream modules never
-touch the raw document.  Unsupported schema constructions degrade to the
-permissive "any" schema with a warning instead of failing the load; the
-warnings surface through :func:`lint_spec` together with the structural lint
-rules.
+touch the raw document.  The IR keeps the document it was read from, in its
+JSON form, only so that a trace header can record it; :func:`load_spec`
+reads that back to an equal IR.  Unsupported schema constructions, and
+schema values of the wrong type, degrade to the permissive "any" schema or
+are ignored with a warning instead of failing the load; the warnings surface
+through :func:`lint_spec` together with the structural lint rules.  Any
+other part of the wrong shape fails the load with a :class:`ParseError`
+that names where it is.
 
 Supported: OpenAPI 3.0 / 3.1, internal references, a pragmatic JSON-schema
 subset (types, enum, numeric bounds, string pattern/length, array items and
 bounds, object properties/required, allOf merge, single-branch oneOf/anyOf).
-Swagger 2.x documents are rejected.
+YAML is read as the JSON it stands for (OpenAPI asks for JSON-compatible
+YAML): a timestamp stays a string, a key becomes one, and a value JSON cannot
+hold is refused.  Swagger 2.x documents are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -174,6 +181,8 @@ class ApiSpecIR:
     operations: list[OperationDef]
     schemas: dict[str, SchemaNode]
     load_warnings: list[LintFinding] = field(default_factory=list)
+    # The document read, in its JSON form; only a trace header writes it.
+    document: dict = field(default_factory=dict)
 
     def operations_by_id(self) -> dict[str, OperationDef]:
         return {op.operation_id: op for op in self.operations}
@@ -184,7 +193,7 @@ class ApiSpecIR:
                 return op
         raise KeyError(operation_id)
 
-    def __eq__(self, other) -> bool:  # load_warnings are advisory, not identity
+    def __eq__(self, other) -> bool:  # warnings and document are not identity
         if not isinstance(other, ApiSpecIR):
             return NotImplemented
         return (
@@ -261,6 +270,39 @@ _SCHEMA_SUPPORTED = {
 }
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+# For each SchemaNode field that takes its schema keyword's value as it is:
+# the keyword, what the value must be, and the test.  load_spec ignores a
+# value that fails with a warning; a script's schema predicate that has one
+# is refused.
+SCHEMA_VALUE_RULES: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
+    "nullable": ("nullable", "a boolean", lambda v: type(v) is bool),
+    "enum_values": ("enum", "a list", lambda v: isinstance(v, list)),
+    "minimum": ("minimum", "a number", _is_number),
+    "maximum": ("maximum", "a number", _is_number),
+    "min_length": ("minLength", "a non-negative integer", _is_count),
+    "max_length": ("maxLength", "a non-negative integer", _is_count),
+    "min_items": ("minItems", "a non-negative integer", _is_count),
+    "max_items": ("maxItems", "a non-negative integer", _is_count),
+    "required_fields": ("required", "a list of strings", lambda v: isinstance(
+        v, list) and all(isinstance(s, str) for s in v)),
+}
+# By keyword, with the keywords whose IR form is not their document form.
+_KEYWORD_RULES = {
+    **{keyword: (what, fits)
+       for keyword, what, fits in SCHEMA_VALUE_RULES.values()},
+    "properties": ("an object", lambda v: isinstance(v, dict)),
+    "allOf": ("a list", lambda v: isinstance(v, list)),
+}
+
+
 def _merge_allof(branches: list[SchemaNode], location: str,
                  warnings: list[LintFinding]) -> SchemaNode:
     objects = [b for b in branches if b.kind == "object"]
@@ -312,10 +354,19 @@ def _schema_node(raw, location: str, warnings: list[LintFinding]) -> SchemaNode:
               f"non-object schema {type(raw).__name__}; degraded to any-schema")
         return ANY_SCHEMA
 
-    for key in raw:
-        if key not in _SCHEMA_SUPPORTED and key not in _SCHEMA_ANNOTATIONS:
+    ignored = []
+    for key, value in raw.items():
+        if key in _KEYWORD_RULES:
+            what, fits = _KEYWORD_RULES[key]
+            if not fits(value):
+                ignored.append(key)
+                _warn(warnings, "invalid-schema-value", location,
+                      f"{key} {value!r} is not {what}; ignored")
+        elif key not in _SCHEMA_SUPPORTED and key not in _SCHEMA_ANNOTATIONS:
             _warn(warnings, "unsupported-schema-keyword", location,
                   f"keyword {key!r} ignored")
+    if ignored:
+        raw = {key: value for key, value in raw.items() if key not in ignored}
 
     if "allOf" in raw:
         branches = [
@@ -336,7 +387,7 @@ def _schema_node(raw, location: str, warnings: list[LintFinding]) -> SchemaNode:
             return _schema_node(branches[0], f"{location}.{comb}[0]", warnings)
 
     raw_type = raw.get("type")
-    nullable = bool(raw.get("nullable", False))
+    nullable = raw.get("nullable", False)
     if isinstance(raw_type, list):  # 3.1 style ["string", "null"]
         non_null = [t for t in raw_type if t != "null"]
         nullable = nullable or "null" in raw_type
@@ -362,13 +413,13 @@ def _schema_node(raw, location: str, warnings: list[LintFinding]) -> SchemaNode:
     properties: tuple[tuple[str, SchemaNode], ...] = ()
     required: tuple[str, ...] = ()
     if raw_type == "object":
-        props = raw.get("properties", {}) or {}
+        props = raw.get("properties", {})
         properties = tuple(
             (name, _schema_node(sub, f"{location}.properties.{name}", warnings))
             for name, sub in props.items()
         )
         declared = {name for name, _ in properties}
-        req_raw = [r for r in raw.get("required", []) or []]
+        req_raw = raw.get("required", [])
         for r in req_raw:
             if r not in declared:
                 _warn(warnings, "required-field-undeclared", location,
@@ -392,7 +443,7 @@ def _schema_node(raw, location: str, warnings: list[LintFinding]) -> SchemaNode:
     return SchemaNode(
         kind=raw_type,
         nullable=nullable,
-        enum_values=tuple(raw.get("enum", []) or []),
+        enum_values=tuple(raw.get("enum", ())),
         minimum=raw.get("minimum"),
         maximum=raw.get("maximum"),
         pattern=pattern,
@@ -412,12 +463,25 @@ def _schema_node(raw, location: str, warnings: list[LintFinding]) -> SchemaNode:
 _PATH_PARAM_RE = re.compile(r"\{([^{}/]+)\}")
 
 
+def _part(value, kind: type, where: str):
+    """``value`` when it is a ``kind`` (an object or a list), an empty one
+    when it is absent or null; else a :class:`ParseError` naming ``where``."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ParseError(f"{where} is not "
+                         f"{'an object' if kind is dict else 'a list'}")
+    return value
+
+
 def _json_content_schema(content: dict, location: str,
                          warnings: list[LintFinding]):
     """Pick the JSON media type schema out of a ``content`` table."""
+    content = _part(content, dict, f"{location} content")
     content_types = tuple(content.keys())
     for ctype, media in content.items():
         if media_type(ctype)[1]:
+            media = _part(media, dict, f"{location} content {ctype!r}")
             return _schema_node(media.get("schema"), location, warnings), content_types
     if content_types:
         _warn(warnings, "non-json-body", location,
@@ -427,47 +491,49 @@ def _json_content_schema(content: dict, location: str,
 
 def _build_parameter(raw: dict, location: str,
                      warnings: list[LintFinding]) -> ParameterDef | None:
-    name = raw.get("name", "")
-    where = raw.get("in", "")
-    if not name:
-        raise ParseError(f"parameter without a name at {location}")
+    name, where = raw["name"], raw.get("in", "")
     if where not in ("path", "query", "header"):
         _warn(warnings, "unsupported-parameter-location", f"{location}#{name}",
               f"parameter location {where!r} skipped")
         return None
     if "schema" in raw:
         schema = _schema_node(raw["schema"], f"{location}#{name}", warnings)
-    elif "content" in raw:
-        schema, _ = _json_content_schema(raw["content"], f"{location}#{name}", warnings)
-        schema = schema or ANY_SCHEMA
     else:
-        schema = ANY_SCHEMA
+        schema, _ = _json_content_schema(raw.get("content"), f"{location}#{name}",
+                                         warnings)
+        schema = schema or ANY_SCHEMA
     required = bool(raw.get("required", False)) or where == "path"
     return ParameterDef(name=name, location=where, schema=schema, required=required)
 
 
-def _build_operation(method: str, path: str, raw_op: dict, path_params: list[dict],
+def _build_operation(method: str, path: str, raw_op: dict, path_params: list,
                      warnings: list[LintFinding]) -> OperationDef:
     loc = f"{method.upper()} {path}"
     merged: dict[tuple[str, str], dict] = {}
-    for raw in list(path_params) + list(raw_op.get("parameters", []) or []):
-        merged[(raw.get("name", ""), raw.get("in", ""))] = raw
+    for raw in path_params + _part(raw_op.get("parameters"), list,
+                                   f"{loc} parameters"):
+        raw = _part(raw, dict, f"a parameter of {loc}")
+        name, where = raw.get("name"), raw.get("in", "")
+        if not name or not isinstance(name, str):
+            raise ParseError(f"parameter without a name at {loc}")
+        if not isinstance(where, str):
+            raise ParseError(f"parameter {name!r} at {loc}: 'in' is not a string")
+        merged[(name, where)] = raw
     params: list[ParameterDef] = []
     for raw in merged.values():
         built = _build_parameter(raw, loc, warnings)
         if built is not None:
             params.append(built)
 
-    body_schema = None
-    if "requestBody" in raw_op:
-        content = (raw_op["requestBody"] or {}).get("content", {}) or {}
-        body_schema, _ = _json_content_schema(content, f"{loc}#requestBody", warnings)
-        if body_schema is not None and body_schema.kind == "object":
-            required = set(body_schema.required_fields)
-            for fname, fschema in body_schema.properties:
-                params.append(ParameterDef(
-                    name=fname, location="body-field",
-                    schema=fschema, required=fname in required))
+    request_body = _part(raw_op.get("requestBody"), dict, f"{loc} requestBody")
+    body_schema, _ = _json_content_schema(request_body.get("content"),
+                                          f"{loc}#requestBody", warnings)
+    if body_schema is not None and body_schema.kind == "object":
+        required = set(body_schema.required_fields)
+        for fname, fschema in body_schema.properties:
+            params.append(ParameterDef(
+                name=fname, location="body-field",
+                schema=fschema, required=fname in required))
 
     declared_path_names = {p.name for p in params if p.location == "path"}
     for seg in _PATH_PARAM_RE.findall(path):
@@ -479,14 +545,14 @@ def _build_operation(method: str, path: str, raw_op: dict, path_params: list[dic
                 schema=SchemaNode(kind="string"), required=True))
 
     responses: list[tuple[str, ResponseDef]] = []
-    for code, raw_resp in (raw_op.get("responses", {}) or {}).items():
+    for code, raw_resp in _part(raw_op.get("responses"), dict,
+                                f"{loc} responses").items():
         pattern = "XXX" if code == "default" else str(code).upper()
         if not validate_status_pattern(pattern):
             raise ParseError(f"invalid response status pattern {code!r} at {loc}")
-        resp_schema, ctypes = (None, ())
-        if raw_resp and "content" in raw_resp:
-            resp_schema, ctypes = _json_content_schema(
-                raw_resp["content"] or {}, f"{loc}#response[{pattern}]", warnings)
+        where = f"{loc}#response[{pattern}]"
+        resp_schema, ctypes = _json_content_schema(
+            _part(raw_resp, dict, where).get("content"), where, warnings)
         responses.append((pattern, ResponseDef(resp_schema, ctypes)))
 
     return OperationDef(
@@ -498,8 +564,23 @@ def _build_operation(method: str, path: str, raw_op: dict, path_params: list[dic
     )
 
 
+class _JsonYamlLoader(yaml.SafeLoader):
+    """YAML read as JSON-compatible YAML: a timestamp stays its string."""
+
+
+_JsonYamlLoader.add_constructor("tag:yaml.org,2002:timestamp",
+                                yaml.SafeLoader.construct_yaml_str)
+
+
+def _not_json(constant: str):
+    raise ParseError(f"{constant} is not a JSON value")
+
+
 def load_spec(document: bytes | str, fmt: str = "json") -> ApiSpecIR:
-    """Parse, reference-resolve, and validate an OpenAPI 3.x document."""
+    """Parse, reference-resolve, and validate an OpenAPI 3.x document.
+
+    The IR is built from the document's JSON form, which it keeps, so
+    ``load_spec(json.dumps(ir.document)) == ir``."""
     if isinstance(document, bytes):
         try:
             document = document.decode("utf-8")
@@ -507,14 +588,18 @@ def load_spec(document: bytes | str, fmt: str = "json") -> ApiSpecIR:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
     if fmt == "json":
         try:
-            doc = json.loads(document)
+            doc = json.loads(document, parse_constant=_not_json)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     elif fmt == "yaml":
         try:
-            doc = yaml.safe_load(document)
+            doc = yaml.load(document, Loader=_JsonYamlLoader)
         except yaml.YAMLError as exc:
             raise ParseError(f"invalid YAML: {exc}") from exc
+        try:  # keys become strings, as JSON writes them
+            doc = json.loads(json.dumps(doc, allow_nan=False))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"YAML that JSON cannot hold: {exc}") from exc
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'yaml'")
 
@@ -530,18 +615,18 @@ def load_spec(document: bytes | str, fmt: str = "json") -> ApiSpecIR:
     warnings: list[LintFinding] = []
     resolved = resolve_refs(doc, warnings)
 
-    paths = resolved.get("paths", {}) or {}
-    if not isinstance(paths, dict):
-        raise ParseError("'paths' is not an object")
-
+    paths = _part(resolved.get("paths"), dict, "'paths'")
     operations: list[OperationDef] = []
     for path in sorted(paths):
-        raw_path = paths[path] or {}
-        path_level_params = raw_path.get("parameters", []) or []
+        raw_path = _part(paths[path], dict, f"path {path!r}")
+        path_level_params = _part(raw_path.get("parameters"), list,
+                                  f"path {path!r} parameters")
         for method in HTTP_METHODS:
             if method in raw_path:
                 operations.append(_build_operation(
-                    method, path, raw_path[method] or {}, path_level_params, warnings))
+                    method, path,
+                    _part(raw_path[method], dict, f"{method.upper()} {path}"),
+                    path_level_params, warnings))
 
     seen: set[tuple[str, str]] = set()
     for op in operations:
@@ -550,16 +635,19 @@ def load_spec(document: bytes | str, fmt: str = "json") -> ApiSpecIR:
             raise ParseError(f"duplicate operation {op.operation_id}")
         seen.add(key)
 
+    components = _part(resolved.get("components"), dict, "'components'")
     schemas: dict[str, SchemaNode] = {}
-    for name, raw_schema in (resolved.get("components", {}) or {}).get("schemas", {}).items():
+    for name, raw_schema in _part(components.get("schemas"), dict,
+                                  "'components.schemas'").items():
         schemas[name] = _schema_node(raw_schema, f"components.schemas.{name}", warnings)
 
     return ApiSpecIR(
-        title=str((resolved.get("info") or {}).get("title", "")),
+        title=str(_part(resolved.get("info"), dict, "'info'").get("title", "")),
         base_paths=sorted(paths),
         operations=operations,
         schemas=schemas,
         load_warnings=warnings,
+        document=doc,
     )
 
 
@@ -570,110 +658,6 @@ def load_spec_file(path: str, fmt: str | None = None) -> ApiSpecIR:
         fmt = "yaml" if lowered.endswith((".yaml", ".yml")) else "json"
     with open(path, "rb") as fh:
         return load_spec(fh.read(), fmt)
-
-
-# --- canonical serialization (round-trip) -------------------------------------
-
-def _schema_jsonable(s: SchemaNode) -> dict:
-    out: dict[str, Any] = {"kind": s.kind}
-    if s.nullable:
-        out["nullable"] = True
-    for key in ("minimum", "maximum", "pattern", "min_length", "max_length",
-                "format", "min_items", "max_items"):
-        val = getattr(s, key)
-        if val is not None:
-            out[key] = val
-    if s.enum_values:
-        out["enum_values"] = list(s.enum_values)
-    if s.items is not None:
-        out["items"] = _schema_jsonable(s.items)
-    if s.required_fields:
-        out["required_fields"] = list(s.required_fields)
-    if s.properties:
-        out["properties"] = [[n, _schema_jsonable(p)] for n, p in s.properties]
-    return out
-
-
-def _schema_from_jsonable(data: dict) -> SchemaNode:
-    return SchemaNode(
-        kind=data.get("kind", ANY_KIND),
-        nullable=bool(data.get("nullable", False)),
-        enum_values=tuple(data.get("enum_values", [])),
-        minimum=data.get("minimum"),
-        maximum=data.get("maximum"),
-        pattern=data.get("pattern"),
-        min_length=data.get("min_length"),
-        max_length=data.get("max_length"),
-        format=data.get("format"),
-        min_items=data.get("min_items"),
-        max_items=data.get("max_items"),
-        items=_schema_from_jsonable(data["items"]) if "items" in data else None,
-        required_fields=tuple(data.get("required_fields", [])),
-        properties=tuple(
-            (n, _schema_from_jsonable(p)) for n, p in data.get("properties", [])),
-    )
-
-
-def spec_to_jsonable(spec: ApiSpecIR) -> dict:
-    """Canonical JSON-able form of the IR; reloads to an equal IR."""
-    return {
-        "ir_version": 1,
-        "title": spec.title,
-        "base_paths": list(spec.base_paths),
-        "operations": [
-            {
-                "method": op.method,
-                "path_template": op.path_template,
-                "parameters": [
-                    {"name": p.name, "location": p.location,
-                     "required": p.required, "schema": _schema_jsonable(p.schema)}
-                    for p in op.parameters
-                ],
-                "request_body_schema": (
-                    _schema_jsonable(op.request_body_schema)
-                    if op.request_body_schema is not None else None),
-                "responses": [
-                    {"status_pattern": pattern,
-                     "body_schema": (_schema_jsonable(r.body_schema)
-                                     if r.body_schema is not None else None),
-                     "content_types": list(r.content_types)}
-                    for pattern, r in op.responses
-                ],
-            }
-            for op in spec.operations
-        ],
-        "schemas": {name: _schema_jsonable(s) for name, s in spec.schemas.items()},
-    }
-
-
-def spec_from_jsonable(data: dict) -> ApiSpecIR:
-    """Inverse of :func:`spec_to_jsonable`."""
-    operations = []
-    for raw in data.get("operations", []):
-        operations.append(OperationDef(
-            method=raw["method"],
-            path_template=raw["path_template"],
-            parameters=tuple(
-                ParameterDef(p["name"], p["location"],
-                             _schema_from_jsonable(p["schema"]), p["required"])
-                for p in raw.get("parameters", [])),
-            request_body_schema=(
-                _schema_from_jsonable(raw["request_body_schema"])
-                if raw.get("request_body_schema") is not None else None),
-            responses=tuple(
-                (r["status_pattern"], ResponseDef(
-                    (_schema_from_jsonable(r["body_schema"])
-                     if r.get("body_schema") is not None else None),
-                    tuple(r.get("content_types", []))))
-                for r in raw.get("responses", [])),
-        ))
-    return ApiSpecIR(
-        title=data.get("title", ""),
-        base_paths=list(data.get("base_paths", [])),
-        operations=operations,
-        schemas={name: _schema_from_jsonable(s)
-                 for name, s in data.get("schemas", {}).items()},
-    )
 
 
 # --- lint ---------------------------------------------------------------------

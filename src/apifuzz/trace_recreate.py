@@ -46,15 +46,16 @@ from .http_driver import DEFAULT_TIMEOUT, Dispatcher, execute, render_url
 from .naming import tokenize
 from .semantic_model import SemanticModel
 from .spec_ingest import (
+    ANY_KIND,
+    SCHEMA_VALUE_RULES,
     ApiSpecIR,
     ResponseDef,
+    SchemaNode,
     any_pattern_matches,
     status_pattern_matches,
-    _schema_from_jsonable,
-    _schema_jsonable,
 )
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 SCRIPT_VERSION = 1
 
 DEFAULT_ORACLE_BUDGET = 500
@@ -517,6 +518,52 @@ def _script_entries(entries: Any, section: str, keys: dict[str, type],
     return entries
 
 
+def _schema_jsonable(s: SchemaNode) -> dict:
+    """A schema as a script's predicate writes it."""
+    out: dict[str, Any] = {"kind": s.kind}
+    if s.nullable:
+        out["nullable"] = True
+    for key in ("minimum", "maximum", "pattern", "min_length", "max_length",
+                "format", "min_items", "max_items"):
+        val = getattr(s, key)
+        if val is not None:
+            out[key] = val
+    if s.enum_values:
+        out["enum_values"] = list(s.enum_values)
+    if s.items is not None:
+        out["items"] = _schema_jsonable(s.items)
+    if s.required_fields:
+        out["required_fields"] = list(s.required_fields)
+    if s.properties:
+        out["properties"] = [[n, _schema_jsonable(p)] for n, p in s.properties]
+    return out
+
+
+def _schema_from_jsonable(data: dict) -> SchemaNode:
+    """Inverse of :func:`_schema_jsonable`; :class:`ValueError` for a value
+    that ``SCHEMA_VALUE_RULES`` refuses, as ``load_spec`` ignores one."""
+    for name, (_, what, fits) in SCHEMA_VALUE_RULES.items():
+        if name in data and not fits(data[name]):
+            raise ValueError(f"{name} {data[name]!r} is not {what}")
+    return SchemaNode(
+        kind=data.get("kind", ANY_KIND),
+        nullable=data.get("nullable", False),
+        enum_values=tuple(data.get("enum_values", ())),
+        minimum=data.get("minimum"),
+        maximum=data.get("maximum"),
+        pattern=data.get("pattern"),
+        min_length=data.get("min_length"),
+        max_length=data.get("max_length"),
+        format=data.get("format"),
+        min_items=data.get("min_items"),
+        max_items=data.get("max_items"),
+        items=_schema_from_jsonable(data["items"]) if "items" in data else None,
+        required_fields=tuple(data.get("required_fields", ())),
+        properties=tuple(
+            (n, _schema_from_jsonable(p)) for n, p in data.get("properties", [])),
+    )
+
+
 # What the replay matcher reads of a predicate, by type; ``constraint`` and
 # ``field`` may be null.
 _PREDICATE_TYPES = {"status_class": str, "transport_error": str,
@@ -527,8 +574,7 @@ _PREDICATE_TYPES = {"status_class": str, "transport_error": str,
 def _check_predicate(predicate: dict) -> None:
     """:class:`ValueError` when a value of the script's ``expected_failure``
     that replay reads has the wrong type, or its schema does not build and
-    compile as replay builds it.  A schema value that fails only while
-    validating (``"minimum": "x"``) still loads."""
+    compile as replay builds it."""
     for key, kind in _PREDICATE_TYPES.items():
         if key in predicate and not isinstance(predicate[key], kind):
             raise ValueError(f"script expected_failure {key!r} has the wrong "

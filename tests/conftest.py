@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
+import yaml
 
-from apifuzz.bookshop import BookshopApp, bookshop_spec
+from apifuzz.bookshop import BookshopApp, bookshop_spec, bookshop_spec_document
 from apifuzz.http_driver import InProcessTarget
 from apifuzz.sampling import build_sampling_spec
 from apifuzz.semantic_model import infer_model
@@ -48,6 +50,18 @@ def minimal_spec_doc(paths: dict, schemas: dict | None = None) -> bytes:
     if schemas:
         doc["components"] = {"schemas": schemas}
     return json.dumps(doc).encode("utf-8")
+
+
+def bookshop_yaml_document() -> bytes:
+    """The bookshop document as YAML whose plain scalars JSON would not
+    read alike: a ``Book.edition`` the service never sends, whose ``enum``
+    and ``example`` are unquoted dates, and unquoted integer status keys."""
+    doc = json.loads(bookshop_spec_document())
+    doc["components"]["schemas"]["Book"]["properties"]["edition"] = {
+        "type": "string", "enum": ["2020-01-01", "2021-06-30"],
+        "example": "2020-01-01"}
+    text = yaml.safe_dump(doc, sort_keys=False)
+    return re.sub(r"'(\d{3}|\d{4}-\d\d-\d\d)'", r"\1", text).encode()
 
 
 def edge_set(model) -> set[tuple[str, str]]:

@@ -18,10 +18,15 @@ from apifuzz.bookshop.server import serve
 from apifuzz.cli import main
 from apifuzz.http_driver import NetworkTarget
 from apifuzz.semantic_model import load_model, serialize_model
-from apifuzz.spec_ingest import load_spec_file
+from apifuzz.spec_ingest import load_spec, load_spec_file
 from apifuzz.trace_recreate import RecreateScript, read_trace
 
-from conftest import FlushFailsAfterHeader, edge_set, minimal_spec_doc
+from conftest import (
+    FlushFailsAfterHeader,
+    bookshop_yaml_document,
+    edge_set,
+    minimal_spec_doc,
+)
 
 
 @pytest.fixture
@@ -499,6 +504,28 @@ def test_minimize_and_replay_round_trip(failing_trace, tmp_path, capsys):
         fixed.stop()
 
 
+def test_a_yaml_spec_trace_keeps_its_spec_and_minimizes(tmp_path):
+    """Its dates and integer keys used to stop ``fuzz`` writing the trace
+    header, after the trace was opened."""
+    spec = tmp_path / "bookshop.yaml"
+    spec.write_bytes(bookshop_yaml_document())
+    trace = str(tmp_path / "fail.jsonl")
+    server = serve(port=0, toggles=["delete-customer-500"])
+    try:
+        assert run_cli("fuzz", str(spec), "--endpoint", server.base_url,
+                       "--duration", "60", "--seed", "1", "--stop-on-error",
+                       "--trace", trace,
+                       "--report", str(tmp_path / "r.json")) == 1
+        header, _ = read_trace(trace)
+        assert load_spec(json.dumps(header["spec"])) == \
+            load_spec_file(str(spec))
+        assert run_cli("minimize", "--trace", trace,
+                       "--endpoint", server.base_url,
+                       "--out", str(tmp_path / "s.json")) == 0
+    finally:
+        server.stop()
+
+
 def test_minimize_not_reproducible_exits_three(failing_trace, tmp_path):
     _, trace = failing_trace
     clean = serve(port=0)  # bug absent: the oracle can never reproduce
@@ -692,6 +719,10 @@ def _predicate(**predicate):
                                 schema={"kind": "strnig"})),
     _regression_with(_predicate(kind="schema-violation",
                                 schema={"kind": "string", "pattern": "("})),
+    _regression_with(_predicate(kind="schema-violation",
+                                schema={"kind": "string", "min_length": "x"})),
+    _regression_with(_predicate(kind="schema-violation",
+                                schema={"kind": "number", "minimum": "x"})),
 ], ids=["root-a-list", "steps-not-a-list", "step-not-an-object",
         "bindings-not-a-list", "binding-not-an-object", "binding-no-producer",
         "step-no-method", "step-no-path-template",
@@ -702,7 +733,8 @@ def _predicate(**predicate):
         "constraint-an-int", "schema-a-string", "status-not-in-a-string",
         "status-not-in-of-ints", "schema-properties-an-int",
         "schema-items-an-int", "schema-required-an-int", "schema-unknown-kind",
-        "schema-bad-pattern"])
+        "schema-bad-pattern", "schema-min-length-a-string",
+        "schema-minimum-a-string"])
 def test_replay_a_malformed_script_is_an_error_not_a_fixed_bug(
         tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

@@ -235,7 +235,7 @@ def test_trace_is_persisted_with_header(bookshop_ir):
     result = run_with(bookshop_ir=bookshop_ir, max_requests=20)
     header, events = read_trace(result.trace_ref)
     assert header["trace_version"] == TRACE_VERSION
-    assert "spec_ir" in header and "model" in header
+    assert "spec" in header and "model" in header
     assert len(events) == 20
     assert [e.event_id for e in events] == list(range(1, 21))
     # At window 1 each plan is generated once the exchange before it

@@ -1,27 +1,33 @@
+import copy
+import io
 import json
+import re
+from random import Random
 
 import pytest
 import yaml
 
-from apifuzz.bookshop import bookshop_spec_document
+from apifuzz.bookshop import BookshopApp, bookshop_spec_document
 from apifuzz.checker import check_exchange
-from apifuzz.http_driver import HttpExchangeResult
+from apifuzz.generator import RunConfig, run, trace_header
+from apifuzz.http_driver import HttpExchangeResult, InProcessTarget
 from apifuzz.sampling import build_sampling_spec
 from apifuzz.semantic_model import infer_model
 from apifuzz.spec_ingest import (
     ParseError,
+    SchemaNode,
+    SpecError,
     UnresolvedRef,
     UnsupportedVersion,
     lint_spec,
     load_spec,
     resolve_refs,
-    spec_from_jsonable,
-    spec_to_jsonable,
     status_pattern_matches,
     validate_status_pattern,
 )
+from apifuzz.trace_recreate import TraceSink
 
-from conftest import json_response, minimal_spec_doc
+from conftest import bookshop_yaml_document, json_response, minimal_spec_doc
 from test_state_tracker import make_plan
 
 
@@ -191,11 +197,32 @@ def test_resolution_is_idempotent():
     assert once == twice
 
 
-def test_ir_round_trips_through_canonical_form(bookshop_ir):
-    reloaded = spec_from_jsonable(spec_to_jsonable(bookshop_ir))
-    assert reloaded == bookshop_ir
-    # and the canonical form itself is stable
-    assert spec_to_jsonable(reloaded) == spec_to_jsonable(bookshop_ir)
+@pytest.mark.parametrize("document, fmt", [
+    (bookshop_spec_document(), "json"),
+    (bookshop_yaml_document(), "yaml"),
+], ids=["bookshop", "yaml"])
+def test_the_header_spec_reloads_to_an_equal_ir(document, fmt):
+    ir = load_spec(document, fmt)
+    header = json.loads(json.dumps(trace_header(RunConfig(), infer_model(ir))))
+    assert load_spec(json.dumps(header["spec"])) == ir
+
+
+def test_yaml_reads_as_the_json_it_stands_for():
+    ir = load_spec(bookshop_yaml_document(), fmt="yaml")
+    edition = ir.schemas["Book"].property_map()["edition"]
+    assert edition.enum_values == ("2020-01-01", "2021-06-30")
+    assert ir.document["components"]["schemas"]["Book"]["properties"][
+        "edition"]["example"] == "2020-01-01"
+    assert dict(ir.operation("GET /books").responses).keys() == {"200"}
+
+
+@pytest.mark.parametrize("value", ["!!set {a: null}", "!!binary aGk=", ".nan"],
+                         ids=["set", "binary", "nan"])
+def test_a_yaml_value_json_cannot_hold_is_a_parse_error(value):
+    document = ("openapi: 3.0.3\ninfo: {title: t, version: '1'}\n"
+                f"paths: {{}}\nx-value: {value}\n")
+    with pytest.raises(ParseError, match="YAML that JSON cannot hold"):
+        load_spec(document, fmt="yaml")
 
 
 # --- status patterns -----------------------------------------------------------------
@@ -337,3 +364,135 @@ def test_an_invalid_pattern_neither_stops_sampling_nor_checking():
                                 headers={"Content-Type": "application/json"},
                                 body=b'{"code": "x"}', json_body={"code": "x"})
     assert check_exchange(make_plan(), answer, op, None) == []
+
+
+# --- parts of the wrong shape -------------------------------------------------------
+
+@pytest.mark.parametrize("paths, message", [
+    ({"/x": 5}, "path '/x' is not an object"),
+    ({"/x": {"parameters": {}}}, "path '/x' parameters is not a list"),
+    ({"/x": {"get": "oops"}}, "GET /x is not an object"),
+    ({"/x": {"get": {"parameters": 5}}}, "GET /x parameters is not a list"),
+    ({"/x": {"get": {"parameters": [5]}}},
+     "a parameter of GET /x is not an object"),
+    ({"/x": {"get": {"parameters": [{"name": 5, "in": "query"}]}}},
+     "parameter without a name at GET /x"),
+    ({"/x": {"get": {"parameters": [{"name": "q", "in": []}]}}},
+     "parameter 'q' at GET /x: 'in' is not a string"),
+    ({"/x": {"get": {"requestBody": "x"}}}, "GET /x requestBody is not an object"),
+    ({"/x": {"get": {"requestBody": {"content": []}}}},
+     "GET /x#requestBody content is not an object"),
+    ({"/x": {"get": {"requestBody": {"content": {"application/json": 5}}}}},
+     "GET /x#requestBody content 'application/json' is not an object"),
+    ({"/x": {"get": {"responses": []}}}, "GET /x responses is not an object"),
+    ({"/x": {"get": {"responses": {"200": 5}}}},
+     "GET /x#response[200] is not an object"),
+], ids=["path-item", "path-parameters", "operation", "parameters",
+        "parameter", "parameter-name", "parameter-in", "request-body",
+        "request-content", "media-type", "responses", "response"])
+def test_a_part_of_the_wrong_shape_is_a_parse_error_naming_it(paths, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_spec(minimal_spec_doc(paths))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("info", "x"), ("components", 5), ("paths", [])],
+    ids=["info", "components", "paths"])
+def test_a_top_level_part_of_the_wrong_shape_is_a_parse_error(key, value):
+    doc = json.loads(minimal_spec_doc({}))
+    doc[key] = value
+    with pytest.raises(ParseError, match=f"'{key}' is not an object"):
+        load_spec(json.dumps(doc))
+
+
+# --- schema values of the wrong type -------------------------------------------------
+
+@pytest.mark.parametrize("keyword, value", [
+    ("minLength", "1"), ("maxLength", "64"), ("minLength", -3),
+    ("minItems", 1.5), ("maxItems", True), ("minimum", "0"),
+    ("maximum", True), ("enum", "x"), ("required", [1]), ("required", "id"),
+    ("properties", []), ("nullable", "false"), ("allOf", {}),
+], ids=["min-length-a-string", "max-length-a-string", "min-length-negative",
+        "min-items-a-float", "max-items-a-bool", "minimum-a-string",
+        "maximum-a-bool", "enum-a-string", "required-of-ints",
+        "required-a-string", "properties-a-list", "nullable-a-string",
+        "all-of-an-object"])
+def test_a_schema_value_of_the_wrong_type_is_ignored_with_a_warning(keyword,
+                                                                    value):
+    ir = load_spec(minimal_spec_doc({"/x": {"get": {
+        "parameters": [{"name": "q", "in": "query",
+                        "schema": {"type": "string", keyword: value}}],
+        "responses": {"200": {"description": "ok"}}}}}))
+    assert ir.operation("GET /x").parameters[0].schema == \
+        SchemaNode(kind="string")
+    [ignored] = [f for f in lint_spec(ir) if f.rule_id == "invalid-schema-value"]
+    assert ignored.location == "GET /x#q"
+    assert ignored.message.startswith(f"{keyword} {value!r} is not ")
+    assert ignored.message.endswith("; ignored")
+
+
+@pytest.mark.parametrize("schema, keyword, value", [
+    ("NewAuthor", "minLength", "1"), ("NewAuthor", "maxLength", "64"),
+    ("Book", "minimum", "0"),
+])
+def test_a_schema_value_of_the_wrong_type_no_longer_stops_a_run(
+        schema, keyword, value):
+    """``fuzz`` used to raise a TypeError in ``build_sampling_spec``, in the
+    run, or in the checker."""
+    doc = json.loads(bookshop_spec_document())
+    prop = "inventory" if schema == "Book" else "name"
+    doc["components"]["schemas"][schema]["properties"][prop][keyword] = value
+    ir = load_spec(json.dumps(doc))
+    assert any(f.rule_id == "invalid-schema-value" for f in ir.load_warnings)
+    _run_briefly(ir, seed=1)
+
+
+# --- a seeded sweep of one-node mutations ---------------------------------------------
+
+SWEEP_VALUES = (5, "x", "1", True, None, [], {}, [1], -3, 1.5)
+
+
+def _node_paths(node, prefix=()):
+    """The path of every node under ``node``, depth first."""
+    children = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _run_briefly(ir, seed):
+    model = infer_model(ir)
+    target = InProcessTarget(BookshopApp())
+    try:
+        run(RunConfig(master_seed=seed, max_requests=60, stop_on_error=False),
+            model, build_sampling_spec(ir, model), target=target,
+            trace_sink=TraceSink(io.StringIO(), None, {}))
+    finally:
+        target.close()
+
+
+def test_each_one_node_mutation_of_the_bookshop_loads_or_is_a_spec_error():
+    """400 seeded mutations, each one node of the bookshop document replaced
+    by one of :data:`SWEEP_VALUES`.  Each either fails to load with a
+    :class:`SpecError` or reloads from its JSON form to an equal IR that
+    infers a model, builds a sampling spec and runs 60 requests."""
+    doc = json.loads(bookshop_spec_document())
+    paths = list(_node_paths(doc))
+    rng = Random(0)
+    loaded = 0
+    for i in range(400):
+        path, value = rng.choice(paths), rng.choice(SWEEP_VALUES)
+        mutated = copy.deepcopy(doc)
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(value)
+        try:
+            ir = load_spec(json.dumps(mutated))
+        except SpecError:
+            continue
+        loaded += 1
+        assert load_spec(json.dumps(ir.document)) == ir, path
+        _run_briefly(ir, seed=i)
+    assert 0 < loaded < 400

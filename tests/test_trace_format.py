@@ -264,8 +264,13 @@ def _set_config(key, value):
     return lambda header: header["config"].__setitem__(key, value)
 
 
+def _set_operation(path, method, value):
+    return lambda header: header["spec"]["paths"][path].__setitem__(method,
+                                                                    value)
+
+
 @pytest.mark.parametrize("mutate", [
-    lambda header: header.pop("spec_ir"),
+    lambda header: header.pop("spec"),
     lambda header: header.pop("model"),
     _set_config("match_threshold", "0.6"),
     _set_config("match_threshold", True),
@@ -273,14 +278,18 @@ def _set_config(key, value):
     _set_config("max_in_flight", 0),
     _set_config("max_in_flight", True),
     lambda header: header.__setitem__("config", [1]),
-    lambda header: header.__setitem__("spec_ir", {"operations": [{}]}),
-    lambda header: header.__setitem__("spec_ir", "x"),
+    _set_operation("/books", "get", "oops"),
+    lambda header: header.__setitem__("spec", "x"),
+    lambda header: header.__setitem__(
+        "spec", {"swagger": "2.0", "info": {}, "paths": header["spec"]["paths"]}),
+    _set_operation("/books", "get", {"$ref": "#/components/missing"}),
     lambda header: header["model"].__setitem__("model_version", 2),
     lambda header: header["model"]["bindings"][0].__setitem__("resource",
                                                               "nope"),
-], ids=["spec_ir", "model", "threshold-a-string", "threshold-a-bool",
+], ids=["spec", "model", "threshold-a-string", "threshold-a-bool",
         "window-a-string", "window-zero", "window-a-bool", "config-a-list",
-        "spec-operation-without-method", "spec-a-string", "model-version-2",
+        "spec-operation-not-an-object", "spec-a-string", "spec-swagger-2",
+        "spec-dangling-ref", "model-version-2",
         "binding-to-an-unknown-resource"])
 def test_minimize_refuses_a_trace_header_without_its_spec_or_model(
         tmp_path, capsys, fuzzed_records, mutate):

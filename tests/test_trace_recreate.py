@@ -19,7 +19,7 @@ from apifuzz.http_driver import (
 )
 from apifuzz.sampling import TAG_VALID, SampledValue, build_sampling_spec
 from apifuzz.semantic_model import infer_model
-from apifuzz.spec_ingest import _schema_jsonable, load_spec
+from apifuzz.spec_ingest import load_spec
 from apifuzz.state_tracker import StateStore
 from apifuzz.trace_recreate import (
     DEFAULT_RACE_ATTEMPTS,
@@ -30,6 +30,7 @@ from apifuzz.trace_recreate import (
     TRACE_VERSION,
     TraceEvent,
     TraceSink,
+    _schema_jsonable,
     bind_symbols,
     build_replay_oracle,
     estimate_run_length,
