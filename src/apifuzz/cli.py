@@ -372,6 +372,10 @@ def cmd_minimize(args) -> int:
         expected = expected_failure_for(by_id[event_id], spec)
     except ValueError as exc:
         raise _Refused(str(exc)) from exc
+    try:
+        deps = producer_dependencies(prefix, model)
+    except ValueError as exc:  # a plan id that orders a step before its producer
+        raise _Refused(f"cannot read trace: {exc}") from exc
 
     def network_target():
         return NetworkTarget(args.endpoint, _default_headers(),
@@ -391,7 +395,6 @@ def cmd_minimize(args) -> int:
         attempts=args.replay_attempts, timeout=args.timeout)
 
     started = time.perf_counter()
-    deps = producer_dependencies(prefix, model)
     try:
         result = minimize(prefix, event_id, oracle, deps,
                           max_oracle_calls=args.budget)

@@ -7,13 +7,17 @@ on a request cap or Ctrl-C (stop reason ``operator-stop``).  The first few
 selections create prerequisite resources in dependency order so the state
 store populates quickly; after that, selection is purely weight-driven.
 
-One loop, :func:`run`, serves both modes; its window is ``max_in_flight``,
-and a dispatcher of that many threads sends every request.  At window 1
+One loop serves both modes; its window is ``max_in_flight``, and a
+dispatcher of that many threads sends every request.  At window 1
 (sequential mode) each request completes before the next is generated,
 which makes a seeded run deterministic against a deterministic SUT.  A
 wider window keeps that many exchanges open and applies effects in
-completion order.  The dispatcher's threads only run ``execute``, so the
-loop's thread is the store's single reader and writer and reads it live.
+completion order.  The loop is a generator that :meth:`Dispatcher.drive`
+resumes with the answers of each wait: at window 1 on the dispatcher's one
+thread, which also runs each ``execute`` there, and above it on the thread
+that called :func:`run`, while the window's threads run ``execute``.  The
+loop runs on one thread at a time and no call touches the state store, so
+the loop is the store's single reader and writer and reads it live.
 """
 
 from __future__ import annotations
@@ -477,8 +481,21 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
     (:func:`fuzzed_model`) raises :class:`ValueError` before any request.
     """
     state = _RunState(config, model, sampling_spec.weights, target, trace_sink)
+    dispatcher = Dispatcher(config.max_in_flight, config.request_timeout)
+    try:
+        stop_reason = dispatcher.drive(
+            _loop(state, sampling_spec, dispatcher, progress))
+    finally:
+        dispatcher.close()
+    return state.finish(stop_reason)
+
+
+def _loop(state: _RunState, sampling_spec: SamplingSpec,
+          dispatcher: Dispatcher, progress: Callable | None):
+    """The run loop, resumed by ``dispatcher.drive`` with the answers of
+    each wait; returns the stop reason."""
+    config = state.config
     window = config.max_in_flight
-    dispatcher = Dispatcher(window, config.request_timeout)
     in_flight: dict[int, tuple[RequestPlan, StatusPrediction, int]] = {}
     dispatched = 0
     stop_reason: str | None = None
@@ -504,19 +521,18 @@ def run(config: RunConfig, model: SemanticModel, sampling_spec: SamplingSpec,
                 break
             # A batch comes sorted by plan id: of two exchanges that finish
             # together, the one dispatched first gets the lower event id.
-            for plan_id, result in wait(dispatcher):
+            for plan_id, result in (yield wait):
                 stop_reason = state.complete(*in_flight.pop(plan_id),
                                              result) or stop_reason
             state.emit_progress(progress, in_flight=len(in_flight))
     except KeyboardInterrupt:
         stop_reason = "operator-stop"
-    finally:
-        dispatcher.close()
-    return state.finish(stop_reason or "operator-stop")
+    return stop_reason or "operator-stop"
 
 
 # The loop looks ``execute`` and ``wait`` up here on every request, so the
-# benchmark can time both by replacing them (perfbench/tracing.py).
+# benchmark can time both by replacing them (perfbench/tracing.py); the
+# dispatcher calls the ``wait`` the loop yields.
 wait = Dispatcher.wait
 
 # Both names are imported by the benchmark's workloads (perfbench/workloads.py).

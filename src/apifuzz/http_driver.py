@@ -18,7 +18,9 @@ thread.  A run and a replay send every request through a
 :class:`Dispatcher`, a window of long-lived threads that bounds each call
 by the timeout for either target: a stalled call is answered as a timeout
 and its thread is retired, so a late reply is never read as the answer to a
-later request.
+later request.  At window 1 the dispatcher's one thread also runs the loop
+that sends, so a request and its answer stay on one thread, and the calling
+thread only keeps the deadline and takes Ctrl-C.
 
 :func:`render_url` is the one place plan values become a concrete URL; the
 generator and replay both call it, so a replayed step sends the URL the fuzz
@@ -37,7 +39,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 from urllib.parse import quote, urlencode, urlsplit
 
 from .spec_ingest import media_type
@@ -221,20 +223,24 @@ class InProcessTarget:
         """Nothing to release; a caller may close any target alike."""
 
 
-def _serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue,
-           claims: dict[int, bool]) -> None:
-    """A dispatcher thread: answer each call from ``inbox`` on ``outbox``
-    until a ``None`` arrives or a call of its own timed out.  A call's
-    exception is handed to the caller, which re-raises it."""
-    while (job := inbox.get()) is not None:
+def _call(key: int, fn: Callable, args: tuple) -> tuple[int, bool, Any]:
+    """``fn(*args)`` answered under ``key``: its value, or the exception it
+    raised, which the caller re-raises."""
+    try:
+        return key, True, fn(*args)
+    except BaseException as exc:
+        return key, False, exc
+
+
+def _serve(dispatcher: "Dispatcher") -> None:
+    """A dispatcher thread: run each job from the inbox until a ``None``
+    arrives or a call of its own timed out.  A job without a key steers the
+    loop (:meth:`Dispatcher.drive` at window 1)."""
+    while (job := dispatcher._inbox.get()) is not None:
         key, fn, args = job
-        try:
-            answer = (key, True, fn(*args))
-        except BaseException as exc:
-            answer = (key, False, exc)
-        if not claims.pop(key, False):
-            return  # timed out: ``wait`` answered it and replaced this thread
-        outbox.put(answer)
+        if not (fn(*args) if key is None
+                else dispatcher._answer(_call(key, fn, args))):
+            return
 
 
 class Dispatcher:
@@ -244,9 +250,14 @@ class Dispatcher:
     answers under their tags.  A call that outlives ``timeout`` is answered
     as a ``timeout`` result and its thread is retired: it exits when the
     stalled call returns, its late answer dropped, and a fresh thread takes
-    its place.  Of that thread and :meth:`wait`, the one that pops the
-    call's own key from ``_claims`` answers it, even if its tag is sent
-    again.  Only the calling thread sends and waits.
+    its place.  Of that thread and the one keeping the deadline, the one
+    that pops the call's own key from ``_claims`` answers it, even if its
+    tag is sent again.
+
+    A loop that sends and waits is a generator run by :meth:`drive`: at
+    each wait it yields a function of the dispatcher (``Dispatcher.wait``)
+    and is resumed with what that returns.  Only the thread running the
+    loop sends and waits.
     """
 
     def __init__(self, window: int, timeout: float):
@@ -263,13 +274,27 @@ class Dispatcher:
 
     def _start(self) -> None:
         threading.Thread(target=_serve, daemon=True, name="apifuzz-dispatch",
-                         args=(self._inbox, self._outbox, self._claims)).start()
+                         args=(self,)).start()
 
     def send(self, tag, fn: Callable, *args) -> None:
         self._sent = key = self._sent + 1
         self._unanswered[key] = (time.perf_counter() + self.timeout, tag)
         self._claims[key] = True
         self._inbox.put((key, fn, args))
+
+    def _answer(self, answer: tuple[int, bool, Any]) -> bool:
+        """Put a finished call's answer on the outbox; False when the thread
+        keeping its deadline claimed it first (a timeout or Ctrl-C), which
+        retires this thread."""
+        if not self._claims.pop(answer[0], False):
+            return False
+        self._outbox.put(answer)
+        return True
+
+    def _timed_out(self, key: int, deadline: float) -> tuple[int, bool, Any]:
+        return key, True, HttpExchangeResult(
+            status=None, transport_error=TRANSPORT_TIMEOUT,
+            latency=time.perf_counter() - deadline + self.timeout)
 
     def wait(self) -> list[tuple[Any, Any]]:
         """Block until a call is answered or times out, then return every
@@ -282,9 +307,7 @@ class Dispatcher:
         except queue.Empty:
             if self._claims.pop(key, False):
                 self._start()
-                answers = [(key, True, HttpExchangeResult(
-                    status=None, transport_error=TRANSPORT_TIMEOUT,
-                    latency=time.perf_counter() - deadline + self.timeout))]
+                answers = [self._timed_out(key, deadline)]
             else:  # its thread claimed it first: the answer is coming
                 answers = [self._outbox.get()]
         while not self._outbox.empty():
@@ -298,6 +321,100 @@ class Dispatcher:
             raise failed
         done.sort()  # the tags in flight differ, so no result is compared
         return done
+
+    def drive(self, loop: Generator) -> Any:
+        """Run ``loop`` to its end on this thread's behalf: return its value
+        or raise its exception here.
+
+        Above window 1 this thread runs the loop and the window's threads
+        run the calls.  At window 1 the dispatcher's one thread runs both:
+        it resumes the loop and runs each call the loop sent at its wait,
+        so an answer never changes threads.  This thread keeps the current
+        call's deadline: it answers a stalled call as a ``timeout`` and
+        resumes the loop on a fresh thread.  Ctrl-C here, or what a signal
+        handler raises, is thrown into the loop at its wait, at once when a
+        call is running (the call is then dropped); one the loop never
+        reached is raised once it ends.
+        """
+        self._loop, self._collect, self._end = loop, None, None
+        self._running: tuple[int, float] = (0, 0.0)  # key, deadline
+        self._interrupt: BaseException | None = None
+        self._done = threading.Event()
+        if self._window > 1:
+            self._steer(None)
+        else:
+            self._inbox.put((None, self._steer, (None,)))
+            self._keep_deadlines()
+        end, self._end, self._loop = self._end, None, None
+        if not isinstance(end, StopIteration):
+            raise end
+        if self._interrupt is not None:
+            raise self._interrupt
+        return end.value
+
+    def _steer(self, thrown: BaseException | None) -> bool:
+        """Resume the loop until it ends, throwing ``thrown`` into it first
+        when given.  At window 1 the calls the loop sent are run here before
+        its wait collects them; False when one stalled or was interrupted
+        and the thread keeping the deadline took the loop over."""
+        answers = None
+        while True:
+            if thrown is None and self._collect is not None:
+                try:
+                    answers = self._collect(self)
+                except BaseException as exc:
+                    thrown = exc
+            try:
+                self._collect = self._loop.send(answers) if thrown is None \
+                    else self._loop.throw(thrown)
+            except BaseException as end:  # StopIteration carries its value
+                self._end = end
+                self._done.set()
+                return True
+            thrown = None
+            while self._window == 1 and not self._inbox.empty():
+                key, fn, args = self._inbox.get()
+                self._running = (key, self._unanswered[key][0])
+                if self._interrupt is None:
+                    if not self._answer(_call(key, fn, args)):
+                        return False
+                elif not self._claims.pop(key, False):
+                    return False
+                else:  # interrupted before it ran
+                    del self._unanswered[key]
+                    thrown, self._interrupt = self._interrupt, None
+                    break
+
+    def _keep_deadlines(self) -> None:
+        """Window 1's calling thread while the loop runs on the dispatcher's
+        thread: wait for it to end, waking at the running call's deadline."""
+        wake = self.timeout
+        while True:
+            try:
+                if self._done.wait(wake):
+                    return
+                key, deadline = self._running
+                wake = deadline - time.perf_counter()
+                if wake > 0:
+                    continue
+                # a call sent from now on is due no sooner than this
+                wake = self.timeout
+                if self._claims.pop(key, False):
+                    self._outbox.put(self._timed_out(key, deadline))
+                    self._resume_elsewhere(None)
+            except BaseException as exc:  # Ctrl-C: thrown into the loop
+                self._interrupt = exc
+                key, _ = self._running
+                if self._claims.pop(key, False):
+                    self._interrupt = None
+                    del self._unanswered[key]
+                    self._resume_elsewhere(exc)
+
+    def _resume_elsewhere(self, thrown: BaseException | None) -> None:
+        """Resume the loop on a fresh thread, in place of one left running a
+        call that was answered without it."""
+        self._start()
+        self._inbox.put((None, self._steer, (thrown,)))
 
     def close(self) -> None:
         """End each thread once the calls sent before are done; a retired

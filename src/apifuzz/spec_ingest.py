@@ -502,7 +502,12 @@ def _build_parameter(raw: dict, location: str,
         schema, _ = _json_content_schema(raw.get("content"), f"{location}#{name}",
                                          warnings)
         schema = schema or ANY_SCHEMA
-    required = bool(raw.get("required", False)) or where == "path"
+    required = raw.get("required", False)
+    if type(required) is not bool:
+        _warn(warnings, "invalid-schema-value", f"{location}#{name}",
+              f"required {required!r} is not a boolean; ignored")
+        required = False
+    required = required or where == "path"
     return ParameterDef(name=name, location=where, schema=schema, required=required)
 
 

@@ -732,10 +732,15 @@ def expected_failure_for(event: TraceEvent, spec: ApiSpecIR | None) -> dict:
 
 
 def _variables_in_step(step: dict) -> set[str]:
+    """The variables a step's symbol markers name; :class:`ValueError` for
+    a marker that holds no name."""
     out: set[str] = set()
 
     def walk(value):
         if _is_marker(value):
+            if not isinstance(value[_SYM_KEY], str):
+                raise ValueError(f"symbol marker {value!r} does not hold a "
+                                 f"variable name")
             out.add(value[_SYM_KEY])
         elif isinstance(value, dict):
             for v in value.values():
@@ -826,7 +831,8 @@ def _predicate_matcher(predicate: dict) -> Callable[[Any], bool]:
 
 def _replay_once(script: RecreateScript, target, dispatcher,
                  matches: Callable[[Any], bool]) -> bool:
-    """One attempt at the script's window.
+    """One attempt at the script's window, resumed by ``dispatcher.drive``
+    with the answers of each wait; returns whether the failure reproduced.
 
     A full window first collects whatever is answered, and a step then
     collects the steps it takes symbols from.  At window 1 each step is
@@ -846,9 +852,9 @@ def _replay_once(script: RecreateScript, target, dispatcher,
     pending: set[int] = set()
     reproduced = False
 
-    def collect() -> None:
+    def collect():
         nonlocal reproduced
-        answers = dispatcher.wait()
+        answers = yield Dispatcher.wait
         pending.difference_update(idx for idx, _ in answers)
         for idx, result in answers:
             if idx >= first_judged and not reproduced:
@@ -864,19 +870,20 @@ def _replay_once(script: RecreateScript, target, dispatcher,
     try:
         for idx, step in enumerate(script.steps):
             while len(pending) >= window:
-                collect()
+                yield from collect()
             if pending:  # never at window 1: the last step was collected
                 for variable in _variables_in_step(step):
                     while producer_step[variable] in pending:
-                        collect()
+                        yield from collect()
             dispatcher.send(idx, execute, _build_replay_plan(step, symbols),
                             target, dispatcher.timeout)
             pending.add(idx)
         while pending:
-            collect()
+            yield from collect()
     except SymbolResolutionFailure:
         while pending:  # the next attempt sends under the same tags
-            pending.difference_update(idx for idx, _ in dispatcher.wait())
+            answers = yield Dispatcher.wait
+            pending.difference_update(idx for idx, _ in answers)
         if not reproduced:
             raise
     return reproduced
@@ -904,7 +911,8 @@ def replay(script: RecreateScript, target,
     try:
         for attempt in range(1, max(attempts, 1) + 1):
             try:
-                reproduced = _replay_once(script, target, dispatcher, matches)
+                reproduced = dispatcher.drive(
+                    _replay_once(script, target, dispatcher, matches))
             except SymbolResolutionFailure as exc:
                 if not concurrent:
                     raise

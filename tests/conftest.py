@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 
 import pytest
 import yaml
@@ -97,3 +98,29 @@ class FlushFailsAfterHeader:
         self.closed = True
         if self.inner:
             self.inner.close()
+
+
+def returns_within(seconds: float, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` run on a daemon thread: its value, or its
+    exception re-raised here.  The test fails when the call has not
+    returned within ``seconds``, so a deadlock fails instead of hanging the
+    suite (the stuck thread is left behind)."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((True, fn(*args, **kwargs)))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=call, daemon=True,
+                              name="returns-within")
+    thread.start()
+    thread.join(seconds)
+    if not outcome:
+        pytest.fail(f"{getattr(fn, '__name__', fn)} did not return within "
+                    f"{seconds} s")
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value

@@ -572,6 +572,29 @@ def test_minimize_an_event_without_findings_exits_two(failing_trace,
         f"error: event {clean} carries no findings\n"
 
 
+def test_minimize_refuses_a_trace_whose_plan_ids_put_a_consumer_first(
+        failing_trace, tmp_path, capsys):
+    """Steps follow plan ids, so this one orders the failing request before
+    the request that produced its customer id."""
+    server, trace = failing_trace
+    lines = pathlib.Path(trace).read_text().splitlines()
+    failing = json.loads(lines[-1])
+    assert failing["plan"]["path_params"]  # it consumes a produced id
+    failing["plan"]["plan_id"] = 0
+    lines[-1] = json.dumps(failing)
+    reordered = tmp_path / "reordered.jsonl"
+    reordered.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run_cli("minimize", "--trace", str(reordered),
+                   "--endpoint", server.base_url,
+                   "--out", str(tmp_path / "s.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trace: step 0 consumes ")
+    assert "produced at later step" in err
+    assert not os.path.exists(tmp_path / "s.json")
+
+
 def test_minimize_resets_through_the_run_target(failing_trace, tmp_path,
                                                 monkeypatch, capsys):
     """The reset before each replay carries the auth token and the TLS
@@ -699,6 +722,8 @@ def _predicate(**predicate):
                                                              {"X-Run": 5})),
     _regression_with(lambda doc: doc["bindings"][0].__setitem__("producer",
                                                                 [7, 5])),
+    _regression_with(lambda doc: doc["steps"][1]["path_params"].__setitem__(
+        "customerId", {"$sym": ["$customer_id"]})),
     _regression_with(_predicate(kind="server-error-5xx", status_class=5)),
     _regression_with(_predicate(kind="no-response", transport_error=5)),
     _regression_with(_predicate(kind="schema-violation", constraint=5,
@@ -728,7 +753,7 @@ def _predicate(**predicate):
         "step-no-method", "step-no-path-template",
         "expected-failure-not-an-object", "window-not-an-integer",
         "path-params-a-list", "query-a-list", "headers-a-string",
-        "header-value-an-int", "producer-path-an-int",
+        "header-value-an-int", "producer-path-an-int", "marker-holds-a-list",
         "status-class-an-int", "transport-error-an-int",
         "constraint-an-int", "schema-a-string", "status-not-in-a-string",
         "status-not-in-of-ints", "schema-properties-an-int",

@@ -431,6 +431,24 @@ def test_a_schema_value_of_the_wrong_type_is_ignored_with_a_warning(keyword,
     assert ignored.message.endswith("; ignored")
 
 
+@pytest.mark.parametrize("where, required", [("query", False),
+                                             ("path", True)])
+def test_a_parameter_required_that_is_not_a_boolean_is_ignored_with_a_warning(
+        where, required):
+    """``"false"`` used to make a parameter required; a path parameter
+    stays required whatever it says."""
+    path = "/x/{q}" if where == "path" else "/x"
+    ir = load_spec(minimal_spec_doc({path: {"get": {
+        "parameters": [{"name": "q", "in": where, "required": "false",
+                        "schema": {"type": "string"}}],
+        "responses": {"200": {"description": "ok"}}}}}))
+    [param] = ir.operation(f"GET {path}").parameters
+    assert param.required is required
+    [ignored] = [f for f in lint_spec(ir) if f.rule_id == "invalid-schema-value"]
+    assert ignored.location == f"GET {path}#q"
+    assert ignored.message == "required 'false' is not a boolean; ignored"
+
+
 @pytest.mark.parametrize("schema, keyword, value", [
     ("NewAuthor", "minLength", "1"), ("NewAuthor", "maxLength", "64"),
     ("Book", "minimum", "0"),
